@@ -19,6 +19,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
+from operator import attrgetter
 
 import numpy as np
 
@@ -84,6 +85,9 @@ LANE_CHANGE_COMPLETION_TOL = 0.2
 
 # Safety net so a stalled episode cannot run unbounded.
 MAX_DECISION_STEPS = {Fidelity.SIMPLE: 600, Fidelity.COMPLEX: 4000}
+
+# World.vehicles is kept sorted by this key after every substep.
+_LANE_ORDER = attrgetter("lane_index", "longitudinal_pos")
 
 
 @dataclass
@@ -237,7 +241,7 @@ def spawn_scenario(config: SimConfig) -> WorldState:
             ))
             next_id += 1
 
-    vehicles.sort(key=lambda v: (v.lane_index, v.longitudinal_pos))
+    vehicles.sort(key=_LANE_ORDER)
     return WorldState(config=config, vehicles=vehicles,
                       rng_state=rng.bit_generator.state)
 
@@ -264,27 +268,19 @@ def step(world: WorldState, ego_command: Action) -> tuple[WorldState, StepEvents
             _begin_lane_change(cfg, ego, target)
 
     traffic_period = max(1, int(round(TRAFFIC_DECISION_PERIOD / cfg.sim_dt)))
-    collided = False
     for _ in range(cfg.substeps_per_decision):
-        if world.substep_count % traffic_period == 0:
-            _traffic_lane_decisions(world)
-        _advance_substep(world)
+        _advance_substep(world, world.substep_count % traffic_period == 0)
         world.substep_count += 1
-        if _ego_collides(world):
-            collided = True
+        collided = _ego_collides(cfg, world.vehicles, ego)
+        if collided:
             break
     world.decision_count += 1
     world.sim_time = world.substep_count * cfg.sim_dt
 
-    events = detect_collision(world)
-    events.collision = events.collision or collided
+    events = detect_collision(world, collided)
     events.command_degraded = degraded
-    reached_goal = world.ego_distance_travelled >= cfg.episode_length
     out_of_time = world.decision_count >= MAX_DECISION_STEPS[cfg.fidelity]
-    events.success = reached_goal and not events.collision
-    events.episode_done = events.collision or reached_goal or out_of_time
-    if events.episode_done:
-        world.terminal = True
+    events.episode_done = world.terminal = events.episode_done or out_of_time
     return world, events
 
 
@@ -304,76 +300,90 @@ def _begin_lane_change(cfg: SimConfig, vehicle: VehicleState, target: int) -> No
         )
 
 
-def _per_lane_index(world: WorldState) -> dict[int, tuple[list[float], list[VehicleState]]]:
-    lanes: dict[int, tuple[list[float], list[VehicleState]]] = {}
-    for v in world.vehicles:  # already sorted by (lane, pos)
-        positions, members = lanes.setdefault(v.lane_index, ([], []))
-        positions.append(v.longitudinal_pos)
-        members.append(v)
-    return lanes
-
-
-def _leader(lanes, lane: int, vehicle: VehicleState):
-    """Nearest vehicle ahead of ``vehicle`` in ``lane`` and the bumper gap."""
-    entry = lanes.get(lane)
-    if entry is None:
-        return None, math.inf
-    positions, members = entry
-    idx = bisect.bisect_right(positions, vehicle.longitudinal_pos)
-    while idx < len(members) and members[idx] is vehicle:
+def _neighbours(vehicles: list[VehicleState], lane: int, vehicle: VehicleState):
+    """Nearest vehicle strictly ahead of ``vehicle`` in ``lane``, the bumper
+    gap to it, and the bumper gap to the nearest vehicle strictly behind,
+    by bisection of the (lane, position)-sorted list."""
+    x = vehicle.longitudinal_pos
+    idx = bisect.bisect_left(vehicles, (lane, x), key=_LANE_ORDER)
+    rear_gap = math.inf
+    if idx > 0 and vehicles[idx - 1].lane_index == lane:
+        rear = vehicles[idx - 1]
+        rear_gap = x - rear.longitudinal_pos - (rear.length + vehicle.length) / 2.0
+    n = len(vehicles)
+    while idx < n and vehicles[idx].lane_index == lane and vehicles[idx].longitudinal_pos == x:
         idx += 1
-    if idx >= len(members):
-        return None, math.inf
-    lead = members[idx]
-    gap = lead.longitudinal_pos - vehicle.longitudinal_pos - (lead.length + vehicle.length) / 2.0
-    return lead, gap
+    if idx == n or vehicles[idx].lane_index != lane:
+        return None, math.inf, rear_gap
+    lead = vehicles[idx]
+    return lead, lead.longitudinal_pos - x - (lead.length + vehicle.length) / 2.0, rear_gap
 
 
-def _follower(lanes, lane: int, vehicle: VehicleState):
-    entry = lanes.get(lane)
-    if entry is None:
-        return None, math.inf
-    positions, members = entry
-    idx = bisect.bisect_left(positions, vehicle.longitudinal_pos) - 1
-    while idx >= 0 and members[idx] is vehicle:
-        idx -= 1
-    if idx < 0:
-        return None, math.inf
-    rear = members[idx]
-    gap = vehicle.longitudinal_pos - rear.longitudinal_pos - (rear.length + vehicle.length) / 2.0
-    return rear, gap
+def _leader_accel(cfg: SimConfig, vehicles: list[VehicleState], lane: int,
+                  vehicle: VehicleState, accel: float | None) -> float | None:
+    """The smaller of ``accel`` and the IDM acceleration behind the leader in
+    ``lane``; None stands for no leader in sensor range."""
+    lead, gap, _ = _neighbours(vehicles, lane, vehicle)
+    if lead is None or gap > cfg.sensor_range:
+        return accel
+    other = idm_accel(vehicle.speed, lead.speed, max(gap, 0.1), vehicle.idm)
+    return accel if accel is not None and accel <= other else other
 
 
-def _longitudinal_accel(cfg: SimConfig, lanes, vehicle: VehicleState) -> float:
-    """IDM acceleration against the most restrictive visible leader."""
-    check = {vehicle.lane_index}
-    if vehicle.lane_change is not None:
-        check.add(vehicle.lane_change.target_lane)
-    accel = idm_accel(vehicle.speed, vehicle.speed, math.inf, vehicle.idm)
-    for lane in check:
-        lead, gap = _leader(lanes, lane, vehicle)
-        if lead is not None and gap <= cfg.sensor_range:
-            accel = min(accel, idm_accel(vehicle.speed, lead.speed, max(gap, 0.1), vehicle.idm))
-    return accel
+def _accelerations(cfg: SimConfig, vehicles: list[VehicleState]) -> list[float]:
+    """IDM acceleration of every vehicle against its most restrictive visible
+    leader: the own-lane one and, during a lane change, the target-lane one.
+    The free-road value is computed only when no leader is in sensor range,
+    since a leader's gap term only subtracts from it."""
+    sensor = cfg.sensor_range
+    n = len(vehicles)
+    accels = []
+    for i, v in enumerate(vehicles):
+        x = v.longitudinal_pos
+        lane = v.lane_index
+        accel = None
+        # The own-lane leader is the next record of the same lane, past any
+        # at the same position (as bisect_right would find it).
+        j = i + 1
+        while j < n and vehicles[j].lane_index == lane:
+            lead = vehicles[j]
+            if lead.longitudinal_pos > x:
+                gap = lead.longitudinal_pos - x - (lead.length + v.length) / 2.0
+                if gap <= sensor:
+                    accel = idm_accel(v.speed, lead.speed, 0.1 if 0.1 > gap else gap, v.idm)
+                break
+            j += 1
+        lc = v.lane_change
+        if lc is not None and lc.target_lane != lane:
+            accel = _leader_accel(cfg, vehicles, lc.target_lane, v, accel)
+        accels.append(idm_accel(v.speed, v.speed, math.inf, v.idm) if accel is None else accel)
+    return accels
 
 
-def _advance_substep(world: WorldState) -> None:
+def _advance_substep(world: WorldState, traffic_decides: bool) -> None:
     cfg = world.config
+    vehicles = world.vehicles
+    accels = _accelerations(cfg, vehicles)
+    if traffic_decides:
+        _traffic_lane_decisions(world, accels)
     dt = cfg.sim_dt
-    lanes = _per_lane_index(world)
-    accels = [_longitudinal_accel(cfg, lanes, v) for v in world.vehicles]
-    for v, a in zip(world.vehicles, accels):
-        v.speed = min(max(v.speed + a * dt, 0.0), cfg.speed_limit)
-        dx = v.speed * dt
+    limit = cfg.speed_limit
+    simple = cfg.fidelity is Fidelity.SIMPLE
+    for v, a in zip(vehicles, accels):
+        # min(max(speed, 0.0), limit) without the call overhead
+        speed = v.speed + a * dt
+        speed = 0.0 if 0.0 > speed else speed
+        v.speed = speed = limit if limit < speed else speed
+        dx = speed * dt
         v.longitudinal_pos += dx
         if v.is_ego:
             world.ego_distance_travelled += dx
         if v.lane_change is not None:
-            if cfg.fidelity is Fidelity.SIMPLE:
+            if simple:
                 _advance_simple_maneuver(cfg, v)
             else:
                 _advance_complex_maneuver(cfg, v, dt)
-    world.vehicles.sort(key=lambda v: (v.lane_index, v.longitudinal_pos))
+    vehicles.sort(key=_LANE_ORDER)
 
 
 def _advance_simple_maneuver(cfg: SimConfig, v: VehicleState) -> None:
@@ -415,68 +425,66 @@ def _advance_complex_maneuver(cfg: SimConfig, v: VehicleState, dt: float) -> Non
         v.lane_change = None
 
 
-def _traffic_lane_decisions(world: WorldState) -> None:
+def _traffic_lane_decisions(world: WorldState, accels: list[float]) -> None:
+    """Start MOBIL lane changes. ``accels`` holds this substep's accelerations;
+    a vehicle that starts a change also brakes for its target-lane leader."""
     cfg = world.config
-    lanes = _per_lane_index(world)
-    for v in world.vehicles:
+    for i, v in enumerate(world.vehicles):
         if v.is_ego or v.lane_change is not None or world.sim_time < v.cooldown_until:
             continue
-        _, decision = traffic_policy(world, v.id, lanes)
+        decision = _mobil_lane_choice(cfg, world.vehicles, v, accels[i])
         if decision is Action.FOLLOW:
             continue
         target = v.lane_index + (-1 if decision is Action.LEFT_LANE_CHANGE else 1)
         _begin_lane_change(cfg, v, target)
         v.cooldown_until = world.sim_time + TRAFFIC_COOLDOWN
+        accels[i] = _leader_accel(cfg, world.vehicles, target, v, accels[i])
 
 
-def traffic_policy(world: WorldState, vehicle_id: int, lanes=None) -> tuple[float, Action]:
+def traffic_policy(world: WorldState, vehicle_id: int) -> tuple[float, Action]:
     """IDM acceleration plus a MOBIL-style lane recommendation for one
     traffic vehicle. Politeness is zero: only the vehicle's own accel gain
     counts, and both target-lane gaps must exceed the safety gap."""
-    vehicle = next((v for v in world.vehicles if v.id == vehicle_id), None)
-    if vehicle is None:
+    index = next((i for i, v in enumerate(world.vehicles) if v.id == vehicle_id), None)
+    if index is None:
         raise ValueError(f"no vehicle with id {vehicle_id}")
+    vehicle = world.vehicles[index]
     if vehicle.is_ego:
         raise ValueError("traffic_policy does not control the ego vehicle")
-    cfg = world.config
-    if lanes is None:
-        lanes = _per_lane_index(world)
+    accel = _accelerations(world.config, world.vehicles)[index]
+    if vehicle.lane_change is not None:
+        return accel, Action.FOLLOW
+    return accel, _mobil_lane_choice(world.config, world.vehicles, vehicle, accel)
 
-    accel = _longitudinal_accel(cfg, lanes, vehicle)
 
+def _mobil_lane_choice(cfg: SimConfig, vehicles: list, vehicle: VehicleState, accel: float) -> Action:
     best_gain = MOBIL_GAIN_THRESHOLD
     best_action = Action.FOLLOW
-    if vehicle.lane_change is None:
-        for candidate in (vehicle.lane_index - 1, vehicle.lane_index + 1):
-            if not 0 <= candidate < cfg.lanes_count:
-                continue
-            _, front_gap = _leader(lanes, candidate, vehicle)
-            _, rear_gap = _follower(lanes, candidate, vehicle)
-            if front_gap <= MOBIL_SAFETY_GAP or rear_gap <= MOBIL_SAFETY_GAP:
-                continue
-            lead, gap = _leader(lanes, candidate, vehicle)
-            if lead is not None and gap <= cfg.sensor_range:
-                cand_accel = idm_accel(vehicle.speed, lead.speed, max(gap, 0.1), vehicle.idm)
-            else:
-                cand_accel = idm_accel(vehicle.speed, vehicle.speed, math.inf, vehicle.idm)
-            gain = cand_accel - accel
-            if gain > best_gain:
-                best_gain = gain
-                best_action = (Action.LEFT_LANE_CHANGE if candidate < vehicle.lane_index
-                               else Action.RIGHT_LANE_CHANGE)
-    return accel, best_action
+    for candidate in (vehicle.lane_index - 1, vehicle.lane_index + 1):
+        if not 0 <= candidate < cfg.lanes_count:
+            continue
+        lead, front_gap, rear_gap = _neighbours(vehicles, candidate, vehicle)
+        if front_gap <= MOBIL_SAFETY_GAP or rear_gap <= MOBIL_SAFETY_GAP:
+            continue
+        # front_gap exceeds the safety gap, so the 0.1 m IDM gap floor cannot bind
+        if lead is not None and front_gap <= cfg.sensor_range:
+            cand_accel = idm_accel(vehicle.speed, lead.speed, front_gap, vehicle.idm)
+        else:
+            cand_accel = idm_accel(vehicle.speed, vehicle.speed, math.inf, vehicle.idm)
+        gain = cand_accel - accel
+        if gain > best_gain:
+            best_gain = gain
+            best_action = (Action.LEFT_LANE_CHANGE if candidate < vehicle.lane_index
+                           else Action.RIGHT_LANE_CHANGE)
+    return best_action
 
 
-def _ego_collides(world: WorldState) -> bool:
-    cfg = world.config
-    ego = world.ego()
+def _ego_collides(cfg: SimConfig, vehicles: list[VehicleState], ego: VehicleState) -> bool:
     y_ego = cfg.lane_center(ego.lane_index) + ego.lateral_offset
     if y_ego - VEHICLE_WIDTH / 2.0 < 0.0 or y_ego + VEHICLE_WIDTH / 2.0 > cfg.road_width:
         return True
-    for v in world.vehicles:
-        if v.is_ego:
-            continue
-        if abs(v.longitudinal_pos - ego.longitudinal_pos) >= (v.length + ego.length) / 2.0:
+    for v in vehicles:
+        if v.is_ego or abs(v.longitudinal_pos - ego.longitudinal_pos) >= (v.length + ego.length) / 2.0:
             continue
         y_other = cfg.lane_center(v.lane_index) + v.lateral_offset
         if abs(y_other - y_ego) < VEHICLE_WIDTH:
@@ -484,36 +492,27 @@ def _ego_collides(world: WorldState) -> bool:
     return False
 
 
-def detect_collision(world: WorldState) -> StepEvents:
+def detect_collision(world: WorldState, collided: bool | None = None) -> StepEvents:
     """Collision/gap snapshot of the current world.
 
     Collision is rectangle overlap of the ego with any vehicle, or the ego
     rectangle leaving the road's lateral extent. Gaps are bumper-to-bumper
     to the nearest same-lane neighbours (both lanes while a lane change is
-    in progress), capped at the sensor range.
+    in progress), capped at the sensor range. A caller that has just run
+    the collision test on this world passes its result as ``collided``.
     """
     cfg = world.config
     ego = world.ego()
-    lanes = _per_lane_index(world)
-    check = {ego.lane_index}
-    if ego.lane_change is not None:
-        check.add(ego.lane_change.target_lane)
-    front = math.inf
-    rear = math.inf
-    for lane in check:
-        _, fgap = _leader(lanes, lane, ego)
-        _, rgap = _follower(lanes, lane, ego)
-        front = min(front, fgap)
-        rear = min(rear, rgap)
-    front = min(max(front, 0.0), cfg.sensor_range)
-    rear = min(max(rear, 0.0), cfg.sensor_range)
-
-    events = StepEvents(collision=_ego_collides(world),
-                        min_gap_front=front, min_gap_rear=rear)
+    if collided is None:
+        collided = _ego_collides(cfg, world.vehicles, ego)
+    lanes = {ego.lane_index, ego.lane_index if ego.lane_change is None else ego.lane_change.target_lane}
+    gaps = [_neighbours(world.vehicles, lane, ego)[1:] for lane in lanes]
+    front = min(max(min(front for front, _ in gaps), 0.0), cfg.sensor_range)
+    rear = min(max(min(rear for _, rear in gaps), 0.0), cfg.sensor_range)
     reached_goal = world.ego_distance_travelled >= cfg.episode_length
-    events.success = reached_goal and not events.collision
-    events.episode_done = events.collision or reached_goal
-    return events
+    return StepEvents(collision=collided, min_gap_front=front, min_gap_rear=rear,
+                      episode_done=collided or reached_goal,
+                      success=reached_goal and not collided)
 
 
 def world_hash(world: WorldState) -> str:

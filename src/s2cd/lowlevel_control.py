@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 
 # Hard deceleration floor. Unbounded IDM braking at tiny gaps destabilises
@@ -25,11 +25,14 @@ class IdmParams:
     s0: float = 2.0        # standstill distance, m
     a_max: float = 2.0     # maximal acceleration, m/s^2
     b_comf: float = 2.0    # comfortable deceleration, m/s^2
+    # 2 * sqrt(a_max * b_comf), the denominator of the dynamic gap term
+    brake_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("zeta", "v0", "T", "s0", "a_max", "b_comf"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"IdmParams.{name} must be positive")
+        object.__setattr__(self, "brake_scale", 2.0 * math.sqrt(self.a_max * self.b_comf))
 
 
 def idm_accel(v_e: float, v_lead: float, gap: float, p: IdmParams = IdmParams()) -> float:
@@ -41,10 +44,11 @@ def idm_accel(v_e: float, v_lead: float, gap: float, p: IdmParams = IdmParams())
     """
     if gap <= 0:
         raise ValueError("idm_accel requires a positive gap")
-    desired = p.s0 + v_e * p.T + v_e * (v_e - v_lead) / (2.0 * math.sqrt(p.a_max * p.b_comf))
-    desired = max(desired, 0.0)
+    desired = p.s0 + v_e * p.T + v_e * (v_e - v_lead) / p.brake_scale
+    # max(desired, 0.0) and max(acc, BRAKE_FLOOR) without the call overhead
+    desired = 0.0 if 0.0 > desired else desired
     acc = p.a_max * (1.0 - (v_e / p.v0) ** p.zeta - (desired / gap) ** 2)
-    return max(acc, BRAKE_FLOOR)
+    return BRAKE_FLOOR if BRAKE_FLOOR > acc else acc
 
 
 @dataclass(frozen=True)
@@ -59,9 +63,8 @@ class PidGains:
             raise ValueError("PID gains must be nonnegative with a positive integral clamp")
 
 
-# Gain sets for the two control channels of the complex-fidelity vehicle.
+# Lateral path-tracking gains of the complex-fidelity vehicle.
 LATERAL_GAINS = PidGains(kp=0.75, kd=0.01, ki=0.2)
-LONGITUDINAL_GAINS = PidGains(kp=0.37, kd=0.012, ki=0.016)
 
 
 @dataclass
