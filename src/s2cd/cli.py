@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .highway_sim import SimConfig
-from .mdp_interface import HighwayEnv, RewardConfig
+from .mdp_interface import OBS_DIM, HighwayEnv, RewardConfig
 from .ppo_core import HyperParams, TrainingAborted, evaluate_actor, train_ppo
 from .s2cd_engine import S2cdHyper, SwitchConfig, TeacherAugmentedEnv, train_s2cd
 from .teacher_suite import load_bundle, save_bundle, train_teacher
@@ -115,6 +116,10 @@ def load_config(path: str | None, command: str) -> dict:
     if "seeds" in cfg and (not cfg["seeds"] or
                            not all(isinstance(s, int) for s in cfg["seeds"])):
         raise ConfigError("seeds must be a nonempty list of integers")
+    if "eval_episodes" in cfg and not _is_int(cfg["eval_episodes"], 1):
+        raise ConfigError("eval_episodes must be a positive integer")
+    if "theory" in cfg:
+        _check_theory(cfg["theory"])
     # construct once so dataclass validators run before any output is written
     _build_sim_config(cfg)
     if "reward" in cfg:
@@ -123,6 +128,20 @@ def load_config(path: str | None, command: str) -> dict:
     if "switch" in cfg:
         SwitchConfig(**cfg["switch"])
     return cfg
+
+
+def _is_int(value, minimum: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
+
+
+def _check_theory(theory: dict) -> None:
+    for key, minimum in (("instances", 1), ("max_states", 1), ("max_actions", 2), ("seed", 0)):
+        if not _is_int(theory.get(key), minimum):
+            raise ConfigError(f"theory.{key} must be an integer >= {minimum}")
+    tolerance = theory.get("tolerance")
+    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) \
+            or not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ConfigError("theory.tolerance must be a finite number >= 0")
 
 
 def _build_sim_config(cfg: dict, seed: int = 0) -> SimConfig:
@@ -138,8 +157,15 @@ def _build_hyper(cfg: dict, student: bool):
     return HyperParams(**base)
 
 
-def _write_config_snapshot(cfg: dict, out_dir: Path) -> None:
-    (out_dir / "config.json").write_text(json.dumps(cfg, sort_keys=True, indent=2))
+def _start_outputs(args, cfg: dict) -> Path:
+    """Create ``--out`` and write the config snapshot. Call only once every
+    config error has been ruled out: a ``ValueError`` raised after this
+    point is reported as a runtime error."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    args.outputs_started = True
+    (out / "config.json").write_text(json.dumps(cfg, sort_keys=True, indent=2))
+    return out
 
 
 def _write_metrics_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
@@ -165,17 +191,15 @@ def _eval_env_factory(cfg: dict, seed: int, fidelity_override: str | None = None
 
 def cmd_train_teacher(args) -> int:
     cfg = load_config(args.config, "train-teacher")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_config_snapshot(cfg, out)
     seeds = [args.seed] if args.seed is not None else cfg["seeds"]
     quality = cfg.get("quality", "high")
+    hp = _build_hyper(cfg, student=False)
+    out = _start_outputs(args, cfg)
     for seed in seeds:
         run_dir = out / f"seed_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         env = HighwayEnv(_build_sim_config(cfg, seed=seed),
                          RewardConfig(**cfg.get("reward", {})), master_seed=seed)
-        hp = _build_hyper(cfg, student=False)
         bundle, result = train_teacher(env, hp, quality=quality, seed=seed)
         summary = evaluate_actor(_eval_env_factory(cfg, seed), bundle.actor,
                                  episodes=cfg["eval_episodes"])
@@ -204,17 +228,20 @@ def _apply_ablations(hp: S2cdHyper, flags: str | None) -> S2cdHyper:
 
 def cmd_train_student(args) -> int:
     cfg = load_config(args.config, "train-student")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_config_snapshot(cfg, out)
     seeds = [args.seed] if args.seed is not None else cfg["seeds"]
 
     baseline = getattr(args, "baseline", False)
-    bundle = None
-    if not baseline:
+    if baseline:
+        hp = _build_hyper(cfg, student=False)
+    else:
         if args.bundle is None:
             raise ConfigError("train-student requires --bundle (or --baseline)")
         bundle = load_bundle(args.bundle)
+        if bundle.input_dim != OBS_DIM:
+            raise ConfigError("bundle observation size does not match the environment")
+        hp = _apply_ablations(_build_hyper(cfg, student=True), args.ablate)
+        switch = SwitchConfig(**cfg.get("switch", {}))
+    out = _start_outputs(args, cfg)
 
     for seed in seeds:
         run_dir = out / f"seed_{seed}"
@@ -222,7 +249,6 @@ def cmd_train_student(args) -> int:
         env = HighwayEnv(_build_sim_config(cfg, seed=seed),
                          RewardConfig(**cfg.get("reward", {})), master_seed=seed)
         if baseline:
-            hp = _build_hyper(cfg, student=False)
             result = train_ppo(env, hp, seed=seed)
             rows = [m.row() for m in result.metrics]
             columns = PPO_COLUMNS
@@ -232,10 +258,6 @@ def cmd_train_student(args) -> int:
                         "total_steps": hp.total_steps,
                         "eval_success": summary["success_rate"]}
         else:
-            if bundle.input_dim != env.obs_dim:
-                raise ConfigError("bundle observation size does not match the environment")
-            hp = _apply_ablations(_build_hyper(cfg, student=True), args.ablate)
-            switch = SwitchConfig(**cfg.get("switch", {}))
             result = train_s2cd(env, bundle, hp, switch, seed=seed)
             rows = [m.row() for m in result.metrics]
             columns = S2CD_COLUMNS
@@ -268,21 +290,19 @@ def _load_checkpoint(path: Path):
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, "evaluate")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_config_snapshot(cfg, out)
     kind, actor, bundle, manifest = _load_checkpoint(Path(args.checkpoint))
+    if bundle is not None and bundle.input_dim != OBS_DIM:
+        raise ConfigError("checkpoint bundle does not match the eval environment")
+    if bundle is None and actor.spec.input_dim != OBS_DIM:
+        raise ConfigError("checkpoint observation size does not match the environment")
+    out = _start_outputs(args, cfg)
 
     per_seed = []
     episodes = []
     for seed in cfg["seeds"]:
         env = _eval_env_factory(cfg, seed)
         if bundle is not None:
-            if bundle.input_dim != env.obs_dim:
-                raise ConfigError("checkpoint bundle does not match the eval environment")
             env = TeacherAugmentedEnv(env, bundle)
-        elif actor.spec.input_dim != env.obs_dim:
-            raise ConfigError("checkpoint observation size does not match the environment")
         summary = evaluate_actor(env, actor, episodes=cfg["eval_episodes"])
         for i, ep in enumerate(summary.pop("episodes")):
             episodes.append({"seed": seed, "episode": i, **ep})
@@ -312,9 +332,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_theory(args) -> int:
     cfg = load_config(args.config, "theory")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_config_snapshot(cfg, out)
+    out = _start_outputs(args, cfg)
     t = cfg["theory"]
     rows, all_pass = run_sweep(n_instances=t["instances"], seed=t["seed"],
                                max_states=t["max_states"], max_actions=t["max_actions"],
@@ -378,6 +396,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ValueError as exc:  # ConfigError and dataclass validation errors
+        if getattr(args, "outputs_started", False):
+            print(f"runtime error: {exc}", file=sys.stderr)
+            return 3
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except TrainingAborted as exc:

@@ -119,14 +119,17 @@ def build_observation(world: WorldState) -> Observation:
     return Observation(v_e=ego.speed, neighbors=tuple(slots), normalized=False)
 
 
-def efficiency_reward(v_e: float, cfg: RewardConfig = RewardConfig()) -> float:
-    """Zero below half the speed limit, then linear up to the full weight."""
-    if not 0.0 <= v_e <= 25.0 + 1e-9:
-        raise ValueError("ego speed outside [0, 25]")
-    if v_e < 12.5:
+def efficiency_reward(v_e: float, cfg: RewardConfig = RewardConfig(),
+                      speed_limit: float = 25.0) -> float:
+    """Zero below half the speed limit, then linear up to the full weight
+    at the limit."""
+    if not 0.0 <= v_e <= speed_limit + 1e-9:
+        raise ValueError(f"ego speed outside [0, {speed_limit}]")
+    half = speed_limit / 2.0
+    if v_e < half:
         return 0.0
-    if v_e < 25.0:
-        return cfg.alpha1 * (v_e / 12.5 - 1.0)
+    if v_e < speed_limit:
+        return cfg.alpha1 * (v_e / half - 1.0)
     return cfg.alpha1
 
 
@@ -147,7 +150,7 @@ def safety_cost(d_safe: float, collided: bool, cfg: RewardConfig = RewardConfig(
 def step_reward(events: StepEvents, world: WorldState,
                 cfg: RewardConfig = RewardConfig()) -> RewardBreakdown:
     d_safe = min(events.min_gap_front, events.min_gap_rear)
-    eff = efficiency_reward(world.ego().speed, cfg)
+    eff = efficiency_reward(world.ego().speed, cfg, world.config.speed_limit)
     cost = safety_cost(d_safe, events.collision, cfg)
     return RewardBreakdown(efficiency=eff, cost=cost)
 

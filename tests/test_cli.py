@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from s2cd import cli
 from s2cd.cli import main
 from s2cd.teacher_suite import load_bundle
 
@@ -26,6 +27,10 @@ MICRO_STUDENT = {
     "seeds": [1],
     "eval_episodes": 1,
 }
+
+
+MICRO_THEORY = {"theory": {"instances": 3, "max_states": 5, "max_actions": 2,
+                           "tolerance": 0.0, "seed": 1}}
 
 
 def write_config(tmp_path, name, payload):
@@ -79,6 +84,55 @@ class TestValidation:
         assert code == 2
 
 
+class TestErrorReporting:
+    def test_value_error_after_outputs_is_a_runtime_error(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def fail(**kwargs):
+            raise ValueError("boom")
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        cfg = write_config(tmp_path, "theory.json", MICRO_THEORY)
+        out = tmp_path / "out"
+        assert main(["theory", "--config", cfg, "--out", str(out)]) == 3
+        assert (out / "config.json").exists()
+        err = capsys.readouterr().err
+        assert "runtime error: boom" in err
+        assert "config error" not in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("instances", 0), ("max_actions", 1), ("seed", -1), ("max_states", 2.5),
+        ("tolerance", -0.1), ("tolerance", float("nan")), ("instances", None),
+    ])
+    def test_invalid_theory_values_rejected_before_outputs(self, tmp_path, key, value):
+        theory = {**MICRO_THEORY["theory"], key: value}
+        if value is None:
+            del theory[key]
+        cfg = write_config(tmp_path, "bad.json", {"theory": theory})
+        out = tmp_path / "out"
+        assert main(["theory", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_invalid_eval_episodes_rejected_before_outputs(self, tmp_path):
+        cfg = write_config(tmp_path, "bad.json", {**MICRO_TEACHER, "eval_episodes": 0})
+        out = tmp_path / "out"
+        assert main(["train-teacher", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_student_config_errors_write_nothing(self, tmp_path, teacher_dir):
+        cfg = write_config(tmp_path, "student.json", MICRO_STUDENT)
+        out = tmp_path / "out"
+        assert main(["train-student", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["train-student", "--config", cfg, "--out", str(out),
+                     "--bundle", str(teacher_dir / "seed_1" / "bundle"),
+                     "--ablate", "no-everything"]) == 2
+        assert not out.exists()
+
+    def test_evaluate_missing_checkpoint_writes_nothing(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["evaluate", "--checkpoint", str(tmp_path / "nowhere"),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestTheoryCommand:
     def test_report_written_and_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, "theory.json",
@@ -122,6 +176,13 @@ class TestTrainTeacherCommand:
         a = (teacher_dir / "seed_1" / "bundle" / "actor.json").read_bytes()
         b = (out / "seed_1" / "bundle" / "actor.json").read_bytes()
         assert a == b
+
+
+    def test_non_default_speed_limit_runs(self, tmp_path):
+        payload = {**MICRO_TEACHER, "sim": {"fidelity": "simple", "density": "low",
+                                             "speed_limit": 30}}
+        cfg = write_config(tmp_path, "teacher.json", payload)
+        assert main(["train-teacher", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestTrainStudentCommand:
