@@ -20,6 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 VALUE_TOL = 1e-12
+# Cap of the fixed-point loops. A gamma = 0.95 instance needs a few hundred
+# sweeps to reach VALUE_TOL; hitting the cap means the residual cannot fall
+# below VALUE_TOL in floating point (or gamma is within ~3e-4 of 1).
+MAX_VALUE_ITERATIONS = 100_000
 
 
 @dataclass
@@ -36,6 +40,9 @@ class TabularMdp:
         s, a, s2 = self.transitions.shape
         if s != s2 or self.rewards.shape != (s, a):
             raise ValueError("transition/reward shape mismatch")
+        for name in ("transitions", "rewards", "initial_dist"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
         rowsums = self.transitions.sum(axis=2)
@@ -77,16 +84,17 @@ def policy_reward(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
 
 def exact_policy_value(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
     """Fixed-point iteration of V = r_pi + gamma P_pi V to sup-norm residual
-    below 1e-12."""
+    below 1e-12; RuntimeError after ``MAX_VALUE_ITERATIONS`` sweeps."""
     policy = validate_policy(mdp, policy)
     p_pi = policy_transition(mdp, policy)
     r_pi = policy_reward(mdp, policy)
     v = np.zeros(mdp.n_states)
-    while True:
+    for _ in range(MAX_VALUE_ITERATIONS):
         v_next = r_pi + mdp.gamma * (p_pi @ v)
         if np.max(np.abs(v_next - v)) < VALUE_TOL:
             return v_next
         v = v_next
+    raise RuntimeError(f"policy evaluation did not converge in {MAX_VALUE_ITERATIONS} sweeps")
 
 
 def action_values(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
@@ -117,6 +125,7 @@ class MixedPolicyResult:
     intervened: np.ndarray       # (S,) bool
     d_mix: np.ndarray
     q_teacher: np.ndarray
+    v_teacher: np.ndarray
 
 
 def build_mixed_policy(teacher: np.ndarray, student: np.ndarray, mdp: TabularMdp,
@@ -142,7 +151,7 @@ def build_mixed_policy(teacher: np.ndarray, student: np.ndarray, mdp: TabularMdp
     # float summation can drift a hair past 1; omega is a probability mass
     omega = float(np.clip(d_mix[intervened].sum(), 0.0, 1.0))
     return MixedPolicyResult(mixed=mixed, omega=omega, intervened=intervened,
-                             d_mix=d_mix, q_teacher=q_teacher)
+                             d_mix=d_mix, q_teacher=q_teacher, v_teacher=v_teacher)
 
 
 @dataclass
@@ -168,7 +177,7 @@ def check_mixed_policy_improvement(mdp: TabularMdp, teacher: np.ndarray,
     s_greedy = greedy_projection(validate_policy(mdp, student))
     result = build_mixed_policy(t_greedy, s_greedy, mdp, tolerance)
     v_mix = exact_policy_value(mdp, result.mixed)
-    v_teacher = exact_policy_value(mdp, t_greedy)
+    v_teacher = result.v_teacher
     j_mix = float(mdp.initial_dist @ v_mix)
     j_teacher = float(mdp.initial_dist @ v_teacher)
     return ImprovementReport(
@@ -204,9 +213,8 @@ def check_performance_bound(mdp: TabularMdp, teacher: np.ndarray, student: np.nd
     result = build_mixed_policy(teacher, student, mdp, tolerance)
 
     v_mix = exact_policy_value(mdp, result.mixed)
-    v_teacher = exact_policy_value(mdp, teacher)
     j_mix = float(mdp.initial_dist @ v_mix)
-    j_teacher = float(mdp.initial_dist @ v_teacher)
+    j_teacher = float(mdp.initial_dist @ result.v_teacher)
     lhs = abs(j_mix - j_teacher)
 
     s_floor = np.maximum(student, 1e-12)
@@ -254,14 +262,17 @@ def random_policy(rng: np.random.Generator, n_states: int, n_actions: int,
 
 
 def optimal_policy(mdp: TabularMdp) -> np.ndarray:
-    """Greedy policy from value iteration (used as the strong-teacher oracle)."""
+    """Greedy policy from value iteration (used as the strong-teacher oracle);
+    RuntimeError after ``MAX_VALUE_ITERATIONS`` sweeps."""
     v = np.zeros(mdp.n_states)
-    while True:
+    for _ in range(MAX_VALUE_ITERATIONS):
         q = action_values(mdp, v)
         v_next = q.max(axis=1)
         if np.max(np.abs(v_next - v)) < VALUE_TOL:
             break
         v = v_next
+    else:
+        raise RuntimeError(f"value iteration did not converge in {MAX_VALUE_ITERATIONS} sweeps")
     policy = np.zeros((mdp.n_states, mdp.n_actions))
     policy[np.arange(mdp.n_states), np.argmax(action_values(mdp, v), axis=1)] = 1.0
     return policy

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from s2cd import theory_validation
 from s2cd.theory_validation import (
     BoundReport,
     ImprovementReport,
@@ -65,6 +66,35 @@ class TestExactPolicyValue:
             TabularMdp(transitions=np.full((1, 2, 1), 0.5),
                        rewards=np.zeros((1, 2)), gamma=0.9,
                        initial_dist=np.array([1.0]))
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("field,index", [
+        ("rewards", (0, 1)), ("transitions", (1, 0, 1)), ("initial_dist", (0,)),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, field, index, bad):
+        mdp = random_mdp(np.random.default_rng(2), max_states=4)
+        values = {"transitions": mdp.transitions.copy(), "rewards": mdp.rewards.copy(),
+                  "initial_dist": mdp.initial_dist.copy()}
+        values[field][index] = bad
+        with pytest.raises(ValueError):
+            TabularMdp(gamma=mdp.gamma, **values)
+
+    def test_unconverged_policy_evaluation_raises(self, monkeypatch):
+        monkeypatch.setattr(theory_validation, "MAX_VALUE_ITERATIONS", 50)
+        mdp = single_state_mdp(gamma=0.99)
+        with pytest.raises(RuntimeError):
+            exact_policy_value(mdp, np.array([[1.0, 0.0]]))
+        with pytest.raises(RuntimeError):
+            optimal_policy(mdp)
+
+    def test_nan_planted_after_validation_ends(self, monkeypatch):
+        monkeypatch.setattr(theory_validation, "MAX_VALUE_ITERATIONS", 1000)
+        mdp = single_state_mdp()
+        mdp.rewards[0, 0] = np.nan
+        with pytest.raises(RuntimeError):
+            exact_policy_value(mdp, np.array([[1.0, 0.0]]))
 
 
 class TestDiscountedVisitation:
@@ -242,6 +272,17 @@ class TestRunSweep:
             assert row["improvement_margin"] >= -1e-9
             assert row["slack"] >= 0.0
             assert 0.0 <= row["omega"] <= 1.0
+
+    def test_four_policy_evaluations_per_instance(self, monkeypatch):
+        calls = []
+        original = theory_validation.exact_policy_value
+
+        def counting(mdp, policy):
+            calls.append(1)
+            return original(mdp, policy)
+        monkeypatch.setattr(theory_validation, "exact_policy_value", counting)
+        run_sweep(n_instances=5, seed=2)
+        assert len(calls) == 4 * 5
 
     def test_single_state_sweep(self):
         # with one state the mixed value is exactly the better of the two
