@@ -22,7 +22,7 @@ import numpy as np
 VALUE_TOL = 1e-12
 # Cap of the fixed-point loops. A gamma = 0.95 instance needs a few hundred
 # sweeps to reach VALUE_TOL; hitting the cap means the residual cannot fall
-# below VALUE_TOL in floating point (or gamma is within ~3e-4 of 1).
+# below VALUE_TOL in floating point, or (rewards of order 1) gamma > ~0.9997.
 MAX_VALUE_ITERATIONS = 100_000
 
 

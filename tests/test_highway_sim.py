@@ -285,6 +285,20 @@ class TestTrafficPolicy:
         _, decision = traffic_policy(world, 11)
         assert decision is Action.FOLLOW
 
+    def test_vehicle_at_the_same_position_is_not_a_leader(self):
+        from s2cd.lowlevel_control import idm_accel
+        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        speeds = {11: 20.0, 12: 5.0, 13: 10.0}
+        for vid, pos in ((11, 100.0), (12, 100.0), (13, 125.0)):
+            world.vehicles.append(VehicleState(id=vid, longitudinal_pos=pos, lane_index=0,
+                                               lateral_offset=0.0, speed=speeds[vid],
+                                               target_speed=20.0))
+        world.vehicles.sort(key=lambda u: (u.lane_index, u.longitudinal_pos))
+        for vid in (11, 12):
+            v = next(u for u in world.vehicles if u.id == vid)
+            accel, _ = traffic_policy(world, vid)
+            assert accel == idm_accel(v.speed, 10.0, 20.0, v.idm)
+
     def test_rejects_ego(self):
         world = spawn_scenario(make_config(seed=0))
         with pytest.raises(ValueError):
