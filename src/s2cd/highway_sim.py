@@ -17,7 +17,8 @@ import bisect
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from operator import attrgetter
 
@@ -89,6 +90,17 @@ MAX_DECISION_STEPS = {Fidelity.SIMPLE: 600, Fidelity.COMPLEX: 4000}
 # World.vehicles is kept sorted by this key after every substep.
 _LANE_ORDER = attrgetter("lane_index", "longitudinal_pos")
 
+# Accepted types of annotated numeric config fields; bools are refused.
+_NUMBER_KINDS = {"int": numbers.Integral, "float": numbers.Real, "float | None": numbers.Real}
+
+
+def check_number_fields(config) -> None:
+    """Raise ValueError when a numeric dataclass field holds a non-number."""
+    for f in fields(config):
+        kind, value = _NUMBER_KINDS.get(f.type), getattr(config, f.name)
+        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ValueError(f"{f.name} must be of type {f.type}")
+
 
 @dataclass
 class SimConfig:
@@ -113,6 +125,9 @@ class SimConfig:
         self.validate()
 
     def validate(self) -> None:
+        check_number_fields(self)
+        if not (math.isfinite(self.decisions_per_second) and self.decisions_per_second > 0):
+            raise ValueError("decisions_per_second must be finite and positive")
         if self.lanes_count < 2:
             raise ValueError("lanes_count must be at least 2")
         if self.sim_dt <= 0:

@@ -48,22 +48,12 @@ _SLOT_SPEC = ((0, True), (-1, True), (-1, False), (1, True), (1, False))
 class Observation:
     v_e: float
     neighbors: tuple[tuple[float, float], ...]  # five (v_i, d_i) pairs
-    normalized: bool = False
 
     def vector(self) -> np.ndarray:
         out = [self.v_e]
         for v_i, d_i in self.neighbors:
             out.extend((v_i, d_i))
         return np.array(out, dtype=np.float64)
-
-    def normalize(self, speed_limit: float = 25.0, sensor_range: float = 50.0) -> "Observation":
-        if self.normalized:
-            return self
-        return Observation(
-            v_e=self.v_e / speed_limit,
-            neighbors=tuple((v / speed_limit, d / sensor_range) for v, d in self.neighbors),
-            normalized=True,
-        )
 
 
 @dataclass(frozen=True)
@@ -116,7 +106,7 @@ def build_observation(world: WorldState) -> Observation:
             slots.append((ego.speed, cfg.sensor_range))
         else:
             slots.append((best.speed, best_gap))
-    return Observation(v_e=ego.speed, neighbors=tuple(slots), normalized=False)
+    return Observation(v_e=ego.speed, neighbors=tuple(slots))
 
 
 def efficiency_reward(v_e: float, cfg: RewardConfig = RewardConfig(),
@@ -204,5 +194,7 @@ class HighwayEnv:
         return self.world.ego().speed
 
     def _observe(self) -> np.ndarray:
-        obs = build_observation(self.world)
-        return obs.normalize(self.config.speed_limit, self.config.sensor_range).vector()
+        """Speeds over the speed limit, distances over the sensor range."""
+        limit, sensor = self.config.speed_limit, self.config.sensor_range
+        return build_observation(self.world).vector() / np.array(
+            (limit,) + (limit, sensor) * len(_SLOT_SPEC))

@@ -3,11 +3,12 @@ loss with value and entropy terms, minibatched epoch updates.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .highway_sim import Action
+from .highway_sim import Action, check_number_fields
 from .tensor_nn import (
     DenseNet,
     GradientError,
@@ -42,14 +43,16 @@ class HyperParams:
     ratio_logclamp: float = 30.0
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
         if not 0.0 < self.clip_eps < 1.0:
             raise ValueError("clip_eps must lie in (0, 1)")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError("gae_lambda must lie in [0, 1]")
-        if self.minibatch < 1 or self.update_epochs < 1 or self.rollout_steps < 1:
-            raise ValueError("minibatch, update_epochs and rollout_steps must be positive")
+        if min(self.minibatch, self.update_epochs, self.rollout_steps, self.total_steps) < 1:
+            raise ValueError("minibatch, update_epochs, rollout_steps and total_steps "
+                             "must be positive")
 
 
 @dataclass
@@ -60,8 +63,6 @@ class Transition:
     reward: float
     value: float
     done: bool
-    origin: str = "student"
-    teacher_probs: np.ndarray | None = None
 
 
 class RolloutBuffer:
@@ -248,8 +249,20 @@ class EpisodeTracker:
         self.collisions = 0
 
 
+# rng.choice's tolerance on the sum of the probabilities it is given
+_PROB_SUM_ATOL = math.sqrt(np.finfo(np.float64).eps)
+
+
 def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
-    return int(rng.choice(len(probs), p=probs / probs.sum()))
+    """``int(rng.choice(len(probs), p=probs / probs.sum()))`` without the
+    argument handling: the same rejections, draw and generator state."""
+    p = probs / np.add.reduce(probs)
+    total = np.add.reduce(p)
+    if math.isnan(total) or (p < 0.0).any() or abs(total - 1.0) > _PROB_SUM_ATOL:
+        raise ValueError("probabilities must be non-negative and sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), "right"))
 
 
 def train_ppo(env, hp: HyperParams, seed: int, transition_hook=None,
@@ -289,7 +302,7 @@ def train_ppo(env, hp: HyperParams, seed: int, transition_hook=None,
             buffer.add(Transition(obs=obs, action=action,
                                   logprob_old=float(log_probs[action]),
                                   reward=reward.total, value=value, done=done))
-            entropies.append(float(-(probs * np.log(probs)).sum()))
+            entropies.append(float(-np.add.reduce(probs * np.log(probs))))
             tracker.record(reward, events, env.ego_speed())
             if transition_hook is not None:
                 transition_hook(obs, action, reward, next_obs, done, critic)

@@ -109,7 +109,7 @@ def kl_penalty(teacher_probs: np.ndarray, student_probs: np.ndarray) -> float:
     t = np.asarray(teacher_probs, dtype=np.float64)
     s = np.maximum(np.asarray(student_probs, dtype=np.float64), 1e-12)
     mask = t > 0.0
-    return float(np.sum(t[mask] * np.log(t[mask] / s[mask])))
+    return float(np.add.reduce(t[mask] * np.log(t[mask] / s[mask])))
 
 
 def augment_observation(obs: np.ndarray, teacher_action: int) -> np.ndarray:
@@ -417,7 +417,7 @@ def collect_dual(env: TeacherAugmentedEnv, actor: DenseNet, critic: DenseNet,
         stats.interventions += int(intervened)
         stats.teacher_rows += int(intervened)
         stats.kl_sum += kl_penalty(advice.probs, probs)
-        stats.entropy_sum += float(-(probs * np.log(probs)).sum())
+        stats.entropy_sum += float(-np.add.reduce(probs * np.log(probs)))
         if tracker is not None:
             tracker.record(reward, events, env.ego_speed())
         if state.done:

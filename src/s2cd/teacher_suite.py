@@ -96,14 +96,14 @@ def teacher_advise(bundle: TeacherBundle, obs: np.ndarray) -> Advice:
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != (bundle.input_dim,):
         raise ValueError(f"expected observation of length {bundle.input_dim}")
-    if np.any(obs < -1e-9) or np.any(obs > 1.0 + 1e-9):
+    # fmin/fmax skip NaN entries, as the comparisons do; forward rejects NaN
+    if np.fmin.reduce(obs) < -1e-9 or np.fmax.reduce(obs) > 1.0 + 1e-9:
         raise ValueError("observation is not normalized to [0, 1]")
     probs, _ = bundle.actor.forward(obs)
-    action = int(np.argmax(probs))
+    action = int(probs.argmax())
     r_all, _ = bundle.return_net.forward(obs)
     q_all, _ = bundle.qvalue_net.forward(obs)
-    return Advice(action=action, probs=probs, r_pred=float(r_all[action]),
-                  q_pred=np.asarray(q_all, dtype=np.float64))
+    return Advice(action=action, probs=probs, r_pred=float(r_all[action]), q_pred=q_all)
 
 
 @dataclass

@@ -9,6 +9,7 @@ so finite-difference gradient checks hold to tight tolerances.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -66,16 +67,26 @@ class DenseNet:
     """An MLP whose parameters live in one flat float64 vector."""
 
     def __init__(self, spec: NetSpec, params: np.ndarray):
-        params = np.asarray(params, dtype=np.float64)
-        if params.shape != (spec.n_params,):
-            raise ValueError(f"expected {spec.n_params} parameters, got {params.shape}")
         self.spec = spec
-        self.params = params
         self._layout = []
         offset = 0
         for fan_in, fan_out in zip(spec.dims, spec.dims[1:]):
             self._layout.append((offset, fan_in, fan_out))
             offset += (fan_in + 1) * fan_out
+        self.params = params
+
+    @property
+    def params(self) -> np.ndarray:
+        return self._params
+
+    @params.setter
+    def params(self, params: np.ndarray) -> None:
+        """Builds the per-layer (w, b) views once; in-place writes reach them."""
+        params = np.ascontiguousarray(params, dtype=np.float64)
+        if params.shape != (self.spec.n_params,):
+            raise ValueError(f"expected {self.spec.n_params} parameters, got {params.shape}")
+        self._params = params
+        self._layers = self._slice_layers(params)
 
     @classmethod
     def create(cls, spec: NetSpec, rng: np.random.Generator) -> "DenseNet":
@@ -97,29 +108,28 @@ class DenseNet:
     def copy(self) -> "DenseNet":
         return DenseNet(self.spec, self.params.copy())
 
-    def _weights(self, params: np.ndarray, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        offset, fan_in, fan_out = self._layout[layer]
-        w = params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        b = params[offset + fan_in * fan_out : offset + (fan_in + 1) * fan_out]
-        return w, b
+    def _slice_layers(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        return [(params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out),
+                 params[offset + fan_in * fan_out : offset + (fan_in + 1) * fan_out])
+                for offset, fan_in, fan_out in self._layout]
 
     def forward(self, x: np.ndarray, params: np.ndarray | None = None):
         """Run the network; returns (output, cache) where cache suffices for
         an exact backward pass. Accepts a single input or a batch."""
-        params = self.params if params is None else params
+        layers = self._layers if params is None else self._slice_layers(params)
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         h = x[None, :] if squeeze else x
         if h.shape[1] != self.spec.input_dim:
             raise ValueError(f"expected input dim {self.spec.input_dim}, got {h.shape[1]}")
-        if not np.all(np.isfinite(h)):
+        # a finite sum implies finite entries; scan them only when it is not
+        if not math.isfinite(h.sum()) and not np.isfinite(h).all():
             raise ValueError("non-finite network input")
         activations = [h]
-        n_layers = len(self._layout)
-        for layer in range(n_layers):
-            w, b = self._weights(params, layer)
+        last = len(layers) - 1
+        for layer, (w, b) in enumerate(layers):
             z = h @ w + b
-            if layer < n_layers - 1:
+            if layer < last:
                 h = np.tanh(z)
                 activations.append(h)
             else:
@@ -161,16 +171,15 @@ class DenseNet:
                              params: np.ndarray | None = None) -> np.ndarray:
         """Backward pass seeded at the pre-head layer. Policy losses that
         differentiate through log-softmax analytically enter here."""
-        params = self.params if params is None else params
+        layers = self._layers if params is None else self._slice_layers(params)
         activations, logits, _, _ = cache
         dz = np.asarray(logits_grad, dtype=np.float64)
         if dz.shape != logits.shape:
             raise ValueError("logits gradient shape mismatch with cached forward")
-        grads = np.zeros_like(params)
-        n_layers = len(self._layout)
-        for layer in range(n_layers - 1, -1, -1):
+        grads = np.zeros(self.spec.n_params)
+        for layer in range(len(layers) - 1, -1, -1):
             offset, fan_in, fan_out = self._layout[layer]
-            w, _ = self._weights(params, layer)
+            w, _ = layers[layer]
             h_prev = activations[layer]
             grads[offset : offset + fan_in * fan_out] = (h_prev.T @ dz).reshape(-1)
             grads[offset + fan_in * fan_out : offset + (fan_in + 1) * fan_out] = dz.sum(axis=0)
@@ -185,17 +194,18 @@ class DenseNet:
         return lp[0] if squeeze else lp
 
 
+# Direct calls of the ufuncs behind ``.max``, ``.sum`` and ``np.clip``: same bits.
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
+    p = e / np.add.reduce(e, axis=1, keepdims=True)
     # keep log-prob computations finite for extreme logits
-    return np.clip(p, 1e-300, 1.0)
+    return np.minimum(np.maximum(p, 1e-300), 1.0)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
 
 
 @dataclass

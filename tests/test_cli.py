@@ -117,6 +117,22 @@ class TestErrorReporting:
         assert main(["train-teacher", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("hyper", "total_steps", 0), ("hyper", "minibatch", 1.5),
+        ("hyper", "update_epochs", True), ("hyper", "gamma", "0.9"),
+        ("sim", "decisions_per_second", 0), ("sim", "decisions_per_second", float("inf")),
+        ("sim", "lanes_count", 2.5),
+    ])
+    def test_malformed_numbers_rejected_before_outputs(self, tmp_path, capsys,
+                                                       section, key, value):
+        payload = {**MICRO_TEACHER, section: {**MICRO_TEACHER[section], key: value}}
+        cfg = write_config(tmp_path, "bad.json", payload)
+        out = tmp_path / "out"
+        assert main(["train-teacher", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err
+
     def test_student_config_errors_write_nothing(self, tmp_path, teacher_dir):
         cfg = write_config(tmp_path, "student.json", MICRO_STUDENT)
         out = tmp_path / "out"

@@ -52,9 +52,11 @@ class TestObservation:
         add_vehicle(world, 1, 35.0, 1, 20.0)
         obs = build_observation(world)
         assert obs.neighbors[0] == (20.0, 30.0)
-        norm = obs.normalize()
-        assert norm.neighbors[0][0] == pytest.approx(0.8)
-        assert norm.neighbors[0][1] == pytest.approx(0.6)
+        env = HighwayEnv(world.config)
+        env.world = world
+        vec = env._observe()
+        assert vec[1] == pytest.approx(0.8)
+        assert vec[2] == pytest.approx(0.6)
 
     def test_nearest_of_two_candidates_wins(self):
         world = empty_world()

@@ -14,6 +14,7 @@ from s2cd.ppo_core import (
     evaluate_actor,
     normalize_advantages,
     ppo_loss,
+    sample_action,
     train_ppo,
 )
 from s2cd.tensor_nn import DenseNet, Head, NetSpec
@@ -55,6 +56,47 @@ def manual_log_probs(net, x):
         lse = m + math.log(sum(math.exp(v - m) for v in row))
         out.append([v - lse for v in row])
     return np.array(out)
+
+
+def choice_reference(probs, rng):
+    """sample_action as written before it ran the code of rng.choice itself."""
+    return int(rng.choice(len(probs), p=probs / probs.sum()))
+
+
+def random_distributions(n, seed):
+    """Dirichlet draws from flat to spiky, some entries set to the 1e-300
+    floor of the softmax, each row scaled so normalisation matters."""
+    rng = np.random.default_rng(seed)
+    alpha = rng.choice([0.05, 0.3, 1.0, 5.0], size=(n, 1))
+    probs = rng.gamma(np.broadcast_to(alpha, (n, 3)))
+    probs /= probs.sum(axis=1, keepdims=True)
+    floored = rng.uniform(size=(n, 3)) < 0.1
+    probs[floored] = 1e-300
+    probs[floored.all(axis=1), 0] = 1.0
+    return probs * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+
+
+class TestSampleAction:
+    def test_matches_rng_choice_draws_and_generator_state(self):
+        probs = random_distributions(100_000, seed=21)
+        assert (probs < 1e-290).any()
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        mismatches = sum(sample_action(p, ours) != choice_reference(p, theirs)
+                         for p in probs)
+        assert mismatches == 0
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("probs", [
+        [np.nan, 0.5, 0.5], [0.0, 0.0, 0.0], [0.5, -0.1, 0.6], [1.0, -1.0, 1.0],
+        [np.inf, 1.0, 1.0], [1e308, 1e308, -1e308],
+    ], ids=["nan", "all_zero", "negative", "negative_sum_one", "inf", "overflow_sum"])
+    def test_rejects_what_rng_choice_rejects(self, probs):
+        probs = np.array(probs)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError):
+                choice_reference(probs, np.random.default_rng(0))
+            with pytest.raises(ValueError):
+                sample_action(probs, np.random.default_rng(0))
 
 
 class RandomObsEnv:

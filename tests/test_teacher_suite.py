@@ -134,6 +134,29 @@ class TestTeacherAdvise:
         with pytest.raises(ValueError):
             teacher_advise(bundle, np.full(11, -0.3))
 
+    @pytest.mark.parametrize("index,value", [(0, -1e-8), (10, 1.0 + 1e-8), (4, np.inf),
+                                             (5, -np.inf)])
+    def test_out_of_range_entry_is_not_normalized(self, index, value):
+        obs = np.full(11, 0.5)
+        obs[index] = value
+        with pytest.raises(ValueError, match="not normalized"):
+            teacher_advise(make_bundle(), obs)
+        obs[(index + 1) % 11] = np.nan  # an out-of-range entry wins over NaN
+        with pytest.raises(ValueError, match="not normalized"):
+            teacher_advise(make_bundle(), obs)
+
+    def test_tolerance_edges_accepted(self):
+        obs = np.full(11, 0.5)
+        obs[0], obs[1] = -1e-9, 1.0 + 1e-9
+        assert teacher_advise(make_bundle(), obs).q_pred.shape == (3,)
+
+    @pytest.mark.parametrize("nan_entries", [[3], [0, 10], list(range(11))])
+    def test_nan_observation_is_non_finite_input(self, nan_entries):
+        obs = np.full(11, 0.5)
+        obs[nan_entries] = np.nan
+        with pytest.raises(ValueError, match="non-finite network input"):
+            teacher_advise(make_bundle(), obs)
+
     def test_rejects_wrong_length(self):
         bundle = make_bundle()
         with pytest.raises(ValueError):

@@ -40,6 +40,72 @@ def manual_forward(net, x):
     return h
 
 
+def reference_forward(net, x):
+    """The forward pass as written before the layer views were cached:
+    every layer sliced out of ``net.params`` on each call, one observation
+    run as a one-row batch, and the softmax reduced through the ``.max``,
+    ``.sum`` and ``np.clip`` wrappers."""
+    logits = manual_forward(net, np.atleast_2d(x))
+    if net.spec.head is Head.SOFTMAX_POLICY:
+        z = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(z)
+        out = np.clip(e / e.sum(axis=1, keepdims=True), 1e-300, 1.0)
+    elif net.spec.head is Head.SCALAR_VALUE:
+        out = logits[:, 0]
+    else:
+        out = logits
+    return out[0] if np.ndim(x) == 1 else out
+
+
+HEADS = [(Head.SOFTMAX_POLICY, 3), (Head.SCALAR_VALUE, 1), (Head.VECTOR_VALUE, 3)]
+
+
+class TestForwardExactness:
+    @pytest.mark.parametrize("head,out_dim", HEADS)
+    def test_bit_equal_to_per_call_slicing(self, head, out_dim):
+        rng = np.random.default_rng(11)
+        net = DenseNet.create(NetSpec(14, out_dim, head=head), rng)
+        # a large final layer drives some probabilities onto the 1e-300 floor
+        net.params[-(64 + 1) * out_dim:] *= rng.choice([1.0, 1e2, 1e5], size=(64 + 1) * out_dim)
+        batch = rng.uniform(-1, 1, size=(64, 14))
+        out, _ = net.forward(batch)
+        assert np.array_equal(out, reference_forward(net, batch))
+        for x in batch:
+            one, _ = net.forward(x)
+            assert np.array_equal(one, reference_forward(net, x))
+        if head is Head.SOFTMAX_POLICY:
+            assert (out == 1e-300).any()
+
+    @pytest.mark.parametrize("head,out_dim", HEADS)
+    def test_in_place_write_and_reassignment_reach_forward(self, head, out_dim):
+        rng = np.random.default_rng(12)
+        net = DenseNet.create(NetSpec(5, out_dim, hidden=(8, 8), head=head), rng)
+        x = rng.uniform(-1, 1, size=5)
+        before, _ = net.forward(x)
+        net.params[3] += 0.5  # first-layer weight
+        after, _ = net.forward(x)
+        assert not np.array_equal(before, after)
+        assert np.array_equal(after, reference_forward(net, x))
+        net.params = net.params * 1.1
+        scaled, _ = net.forward(x)
+        assert np.array_equal(scaled, reference_forward(net, x))
+
+    def test_backward_uses_current_params(self):
+        rng = np.random.default_rng(13)
+        net = DenseNet.create(NetSpec(5, 3, hidden=(8, 8), head=Head.VECTOR_VALUE), rng)
+        net.params[-1] = 2.0
+        net.params[10] -= 0.25
+        _, cache = net.forward(rng.uniform(size=(4, 5)))
+        dz = rng.normal(size=(4, 3))
+        assert np.array_equal(net.backward_from_logits(cache, dz),
+                              net.backward_from_logits(cache, dz, params=net.params.copy()))
+
+    def test_rejects_wrong_parameter_count(self):
+        net = DenseNet.create(NetSpec(4, 1), np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            net.params = np.zeros(3)
+
+
 class TestForward:
     def test_zero_final_layer_gives_uniform_policy(self):
         spec = NetSpec(11, 3, head=Head.SOFTMAX_POLICY)
@@ -158,6 +224,11 @@ class TestLogSoftmax:
         z = np.array([[800.0, -800.0, 0.0]])
         lp = log_softmax(z)
         assert np.all(np.isfinite(lp))
+
+    def test_bit_equal_to_wrapper_reductions(self):
+        z = np.random.default_rng(1).normal(size=(500, 3)) * np.array([1.0, 50.0, 800.0])
+        m = z - z.max(axis=1, keepdims=True)
+        assert np.array_equal(log_softmax(z), m - np.log(np.exp(m).sum(axis=1, keepdims=True)))
 
 
 class TestAdamW:
