@@ -126,8 +126,10 @@ class SimConfig:
 
     def validate(self) -> None:
         check_number_fields(self)
-        if not (math.isfinite(self.decisions_per_second) and self.decisions_per_second > 0):
-            raise ValueError("decisions_per_second must be finite and positive")
+        for name in ("decisions_per_second", "speed_limit", "episode_length", "lane_width"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive")
         if self.lanes_count < 2:
             raise ValueError("lanes_count must be at least 2")
         if self.sim_dt <= 0:

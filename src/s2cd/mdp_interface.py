@@ -17,6 +17,7 @@ from .highway_sim import (
     SimConfig,
     StepEvents,
     WorldState,
+    check_number_fields,
     spawn_scenario,
     step as sim_step,
 )
@@ -62,6 +63,7 @@ class RewardConfig:
     alpha2: float = 1.0   # safety weight
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         if self.alpha1 <= 0 or self.alpha2 <= 0:
             raise ValueError("reward weights must be positive")
 

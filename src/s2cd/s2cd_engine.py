@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .highway_sim import Action
+from .highway_sim import Action, check_number_fields
 from .mdp_interface import HighwayEnv
 from .ppo_core import (
     EpisodeTracker,
@@ -51,6 +51,7 @@ class SwitchConfig:
     q2: float = 10.0
 
     def __post_init__(self) -> None:
+        check_number_fields(self)
         if self.tolerance_eps <= 0 or self.q1 <= 0:
             raise ValueError("tolerance_eps and q1 must be positive")
 

@@ -5,6 +5,11 @@ values by fixed-point iteration (cross-checked against direct linear solves
 in the tests), discounted state visitation by linear solve, and the
 Q-value-gap switch applied state by state.
 
+Both fixed-point loops (policy evaluation and value iteration) run blocks
+of ``_SWEEP_BLOCK`` sweeps and check the sup-norm residual once per block.
+They return the first sweep whose residual is below ``VALUE_TOL``, so the
+result is bit-identical to checking after every sweep.
+
 Two certificates are produced per instance:
 
 * improvement guarantee: with greedy (deterministic) policy representatives
@@ -24,6 +29,8 @@ VALUE_TOL = 1e-12
 # sweeps to reach VALUE_TOL; hitting the cap means the residual cannot fall
 # below VALUE_TOL in floating point, or (rewards of order 1) gamma > ~0.9997.
 MAX_VALUE_ITERATIONS = 100_000
+# Sweeps run between two residual checks of the fixed-point loops.
+_SWEEP_BLOCK = 32
 
 
 @dataclass
@@ -82,19 +89,52 @@ def policy_reward(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
     return np.einsum("sa,sa->s", policy, mdp.rewards)
 
 
+def _fixed_point(sweep, n_states: int, name: str) -> np.ndarray:
+    """Iterate ``sweep(v_k, out=v_{k+1})`` from v_0 = 0 and return the rows
+    (v_k, v_{k+1}) of the first sweep k with sup|v_{k+1} - v_k| < VALUE_TOL.
+
+    Sweeps run in blocks of ``_SWEEP_BLOCK``; the residuals of a block are
+    computed together after it, and the first one below the tolerance picks
+    the result, exactly as a check after every sweep would. A first hit at
+    k >= ``MAX_VALUE_ITERATIONS`` or a NaN residual raises RuntimeError.
+    """
+    cap = MAX_VALUE_ITERATIONS
+    iterates = np.zeros((_SWEEP_BLOCK + 1, n_states))
+    rows = list(iterates)
+    for start in range(0, cap, _SWEEP_BLOCK):
+        for i in range(_SWEEP_BLOCK):
+            sweep(rows[i], rows[i + 1])
+        residual = np.abs(iterates[1:] - iterates[:-1]).max(axis=1)
+        stop = np.flatnonzero(~(residual >= VALUE_TOL))  # below the tolerance, or NaN
+        if stop.size:
+            k = int(stop[0])
+            if start + k < cap and residual[k] < VALUE_TOL:
+                return iterates[k:k + 2].copy()
+            break
+        iterates[0] = iterates[-1]
+    raise RuntimeError(f"{name} did not converge in {cap} sweeps")
+
+
 def exact_policy_value(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
     """Fixed-point iteration of V = r_pi + gamma P_pi V to sup-norm residual
-    below 1e-12; RuntimeError after ``MAX_VALUE_ITERATIONS`` sweeps."""
+    below ``VALUE_TOL``; RuntimeError after ``MAX_VALUE_ITERATIONS`` sweeps.
+
+    The residual is checked once per block of ``_SWEEP_BLOCK`` sweeps, and
+    the value returned is the first sweep below ``VALUE_TOL``, so the result
+    equals sweep-by-sweep checking bit for bit. Each sweep is the product,
+    then ``* gamma``, then ``+ r_pi``, written in place.
+    """
     policy = validate_policy(mdp, policy)
     p_pi = policy_transition(mdp, policy)
     r_pi = policy_reward(mdp, policy)
-    v = np.zeros(mdp.n_states)
-    for _ in range(MAX_VALUE_ITERATIONS):
-        v_next = r_pi + mdp.gamma * (p_pi @ v)
-        if np.max(np.abs(v_next - v)) < VALUE_TOL:
-            return v_next
-        v = v_next
-    raise RuntimeError(f"policy evaluation did not converge in {MAX_VALUE_ITERATIONS} sweeps")
+    gamma = np.full(mdp.n_states, mdp.gamma)
+
+    def sweep(v: np.ndarray, out: np.ndarray) -> None:
+        np.matmul(p_pi, v, out)
+        np.multiply(out, gamma, out)
+        np.add(out, r_pi, out)
+
+    return _fixed_point(sweep, mdp.n_states, "policy evaluation")[1]
 
 
 def action_values(mdp: TabularMdp, v: np.ndarray) -> np.ndarray:
@@ -264,15 +304,11 @@ def random_policy(rng: np.random.Generator, n_states: int, n_actions: int,
 def optimal_policy(mdp: TabularMdp) -> np.ndarray:
     """Greedy policy from value iteration (used as the strong-teacher oracle);
     RuntimeError after ``MAX_VALUE_ITERATIONS`` sweeps."""
-    v = np.zeros(mdp.n_states)
-    for _ in range(MAX_VALUE_ITERATIONS):
-        q = action_values(mdp, v)
-        v_next = q.max(axis=1)
-        if np.max(np.abs(v_next - v)) < VALUE_TOL:
-            break
-        v = v_next
-    else:
-        raise RuntimeError(f"value iteration did not converge in {MAX_VALUE_ITERATIONS} sweeps")
+    def sweep(v: np.ndarray, out: np.ndarray) -> None:
+        action_values(mdp, v).max(axis=1, out=out)
+
+    # greedy in the values of the sweep before the converged one
+    v = _fixed_point(sweep, mdp.n_states, "value iteration")[0]
     policy = np.zeros((mdp.n_states, mdp.n_actions))
     policy[np.arange(mdp.n_states), np.argmax(action_values(mdp, v), axis=1)] = 1.0
     return policy

@@ -97,6 +97,104 @@ class TestNonFiniteInputs:
             exact_policy_value(mdp, np.array([[1.0, 0.0]]))
 
 
+BLOCK = theory_validation._SWEEP_BLOCK
+
+
+def sweep_by_sweep_value(mdp, policy):
+    """The policy-evaluation loop with a residual check after every sweep;
+    returns the value and the 0-based index of the converged sweep."""
+    p_pi = policy_transition(mdp, policy)
+    r_pi = np.einsum("sa,sa->s", policy, mdp.rewards)
+    v = np.zeros(mdp.n_states)
+    for k in range(100_000):
+        v_next = r_pi + mdp.gamma * (p_pi @ v)
+        if np.max(np.abs(v_next - v)) < theory_validation.VALUE_TOL:
+            return v_next, k
+        v = v_next
+    raise AssertionError("reference did not converge")
+
+
+def sweep_by_sweep_optimal(mdp):
+    """Value iteration with a residual check after every sweep; greedy in the
+    values before the converged sweep. Returns the policy and the index."""
+    v = np.zeros(mdp.n_states)
+    for k in range(100_000):
+        v_next = action_values(mdp, v).max(axis=1)
+        if np.max(np.abs(v_next - v)) < theory_validation.VALUE_TOL:
+            break
+        v = v_next
+    else:
+        raise AssertionError("reference did not converge")
+    policy = np.zeros((mdp.n_states, mdp.n_actions))
+    policy[np.arange(mdp.n_states), np.argmax(action_values(mdp, v), axis=1)] = 1.0
+    return policy, k
+
+
+def mdp_with_states(rng, n_states, gamma):
+    n_actions = int(rng.integers(2, 5))
+    return TabularMdp(transitions=rng.dirichlet(np.ones(n_states), size=(n_states, n_actions)),
+                      rewards=rng.uniform(-1.0, 1.0, size=(n_states, n_actions)),
+                      gamma=gamma, initial_dist=rng.dirichlet(np.ones(n_states)))
+
+
+class TestBlockedSweepsMatchSweepBySweep:
+    def test_bit_identical_on_random_mdps(self):
+        rng = np.random.default_rng(17)
+        for n in range(1200):
+            n_states = n % 30 + 1
+            gamma = 0.95 if n % 7 == 0 else float(rng.uniform(0.0, 0.95))
+            mdp = mdp_with_states(rng, n_states, gamma)
+            policy = random_policy(rng, n_states, mdp.n_actions, deterministic=n % 2 == 1)
+            expected, _ = sweep_by_sweep_value(mdp, policy)
+            assert exact_policy_value(mdp, policy).tobytes() == expected.tobytes()
+            if n % 3 == 0:
+                expected, _ = sweep_by_sweep_optimal(mdp)
+                assert optimal_policy(mdp).tobytes() == expected.tobytes()
+
+    def test_greedy_policy_uses_the_values_before_the_converged_sweep(self):
+        # s0 picks between s1 (absorbing, reward 1: value 20) and s2 (reward
+        # e, then an absorbing zero-reward state: value e). The two Q values
+        # of s0 cross between the last two sweeps, so the greedy action
+        # depends on which of them the policy is read from.
+        e = 20.0 - 1.88e-11
+        transitions = np.zeros((4, 2, 4))
+        transitions[0, 0, 1] = transitions[0, 1, 2] = 1.0
+        transitions[1, :, 1] = transitions[2, :, 3] = transitions[3, :, 3] = 1.0
+        rewards = np.zeros((4, 2))
+        rewards[1], rewards[2] = 1.0, e
+        mdp = TabularMdp(transitions=transitions, rewards=rewards, gamma=0.95,
+                         initial_dist=np.array([1.0, 0.0, 0.0, 0.0]))
+        expected, _ = sweep_by_sweep_optimal(mdp)
+        assert expected[0].tolist() == [0.0, 1.0]
+        assert optimal_policy(mdp).tobytes() == expected.tobytes()
+
+    @staticmethod
+    def converging_at(offset, reference):
+        """The first seeded instance whose reference converges at a sweep
+        index k with k % _SWEEP_BLOCK == offset."""
+        rng = np.random.default_rng(18)
+        while True:
+            mdp = mdp_with_states(rng, int(rng.integers(1, 13)), float(rng.uniform(0.5, 0.95)))
+            policy = random_policy(rng, mdp.n_states, mdp.n_actions)
+            expected, k = reference(mdp, policy)
+            if k % BLOCK == offset:
+                return mdp, policy, expected, k
+
+    @pytest.mark.parametrize("offset", [0, 5, BLOCK - 1])
+    @pytest.mark.parametrize("reference,run,message", [
+        (sweep_by_sweep_value, exact_policy_value, "policy evaluation"),
+        (lambda mdp, policy: sweep_by_sweep_optimal(mdp),
+         lambda mdp, policy: optimal_policy(mdp), "value iteration"),
+    ], ids=["policy_evaluation", "value_iteration"])
+    def test_cap_boundary(self, monkeypatch, offset, reference, run, message):
+        mdp, policy, expected, k = self.converging_at(offset, reference)
+        monkeypatch.setattr(theory_validation, "MAX_VALUE_ITERATIONS", k + 1)
+        assert run(mdp, policy).tobytes() == expected.tobytes()
+        monkeypatch.setattr(theory_validation, "MAX_VALUE_ITERATIONS", k)
+        with pytest.raises(RuntimeError, match=f"{message} did not converge in {k} sweeps"):
+            run(mdp, policy)
+
+
 class TestDiscountedVisitation:
     def test_sums_to_one(self):
         rng = np.random.default_rng(2)
