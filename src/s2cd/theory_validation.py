@@ -90,14 +90,10 @@ def policy_reward(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
 
 
 def _fixed_point(sweep, n_states: int, name: str) -> np.ndarray:
-    """Iterate ``sweep(v_k, out=v_{k+1})`` from v_0 = 0 and return the rows
-    (v_k, v_{k+1}) of the first sweep k with sup|v_{k+1} - v_k| < VALUE_TOL.
-
-    Sweeps run in blocks of ``_SWEEP_BLOCK``; the residuals of a block are
-    computed together after it, and the first one below the tolerance picks
-    the result, exactly as a check after every sweep would. A first hit at
-    k >= ``MAX_VALUE_ITERATIONS`` or a NaN residual raises RuntimeError.
-    """
+    """Run ``sweep(v_k, v_{k+1})`` from v_0 = 0 in blocks of ``_SWEEP_BLOCK``
+    and return the rows (v_k, v_{k+1}) of the first sweep k with
+    sup|v_{k+1} - v_k| < VALUE_TOL. A first hit at k >= MAX_VALUE_ITERATIONS
+    or a NaN residual raises RuntimeError naming ``name``."""
     cap = MAX_VALUE_ITERATIONS
     iterates = np.zeros((_SWEEP_BLOCK + 1, n_states))
     rows = list(iterates)
@@ -121,8 +117,9 @@ def exact_policy_value(mdp: TabularMdp, policy: np.ndarray) -> np.ndarray:
 
     The residual is checked once per block of ``_SWEEP_BLOCK`` sweeps, and
     the value returned is the first sweep below ``VALUE_TOL``, so the result
-    equals sweep-by-sweep checking bit for bit. Each sweep is the product,
-    then ``* gamma``, then ``+ r_pi``, written in place.
+    equals sweep-by-sweep checking bit for bit. Each sweep writes P_pi V,
+    then ``* gamma``, then ``+ r_pi`` in place; IEEE ``*`` and ``+``
+    commute, so the bits equal ``r_pi + gamma * (P_pi @ V)``.
     """
     policy = validate_policy(mdp, policy)
     p_pi = policy_transition(mdp, policy)

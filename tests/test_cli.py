@@ -122,29 +122,17 @@ class TestErrorReporting:
         ("hyper", "update_epochs", True), ("hyper", "gamma", "0.9"),
         ("sim", "decisions_per_second", 0), ("sim", "decisions_per_second", float("inf")),
         ("sim", "lanes_count", 2.5),
-    ])
-    def test_malformed_numbers_rejected_before_outputs(self, tmp_path, capsys,
-                                                       section, key, value):
-        payload = {**MICRO_TEACHER, section: {**MICRO_TEACHER[section], key: value}}
-        cfg = write_config(tmp_path, "bad.json", payload)
-        out = tmp_path / "out"
-        assert main(["train-teacher", "--config", cfg, "--out", str(out)]) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "config error" in err and key in err
-
-    @pytest.mark.parametrize("section,key,value", [
         ("reward", "alpha1", "0.5"), ("switch", "q1", "3"),
         ("sim", "episode_length", -5), ("sim", "episode_length", float("inf")),
         ("sim", "speed_limit", 0), ("sim", "speed_limit", float("nan")),
         ("sim", "lane_width", 0), ("sim", "lane_width", -3.75),
     ])
-    def test_malformed_student_sections_rejected_before_outputs(self, tmp_path, capsys,
-                                                                section, key, value):
-        payload = {**MICRO_STUDENT, section: {**MICRO_STUDENT.get(section, {}), key: value}}
+    def test_malformed_numbers_rejected_before_outputs(self, tmp_path, capsys,
+                                                       section, key, value):
+        payload = {**MICRO_TEACHER, section: {**MICRO_TEACHER.get(section, {}), key: value}}
         cfg = write_config(tmp_path, "bad.json", payload)
         out = tmp_path / "out"
-        assert main(["train-student", "--config", cfg, "--out", str(out)]) == 2
+        assert main(["train-teacher", "--config", cfg, "--out", str(out)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
         assert "config error" in err and key in err
