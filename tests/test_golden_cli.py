@@ -2,14 +2,18 @@
 
 Runs the tiny commands of the C12 determinism check (``train-teacher``,
 ``train-student``, ``ablate --ablate no-kl``, ``evaluate`` and ``theory``,
-with the same configs) once, and compares the sha256 of every output file
-with ``golden_cli.json``. C12 only shows that two runs of the same code
+with the same configs) plus ``train-student --baseline`` on the student
+config once, and compares the sha256 of every output file with
+``golden_cli.json``. C12 only shows that two runs of the same code
 agree; this fixture pins the bytes across versions, so any change to the
 training loop, the networks, the simulator or the CLI that moves one
 output byte fails here.
 
 The fixture was generated before the per-step inference path was
-rewritten for speed, and must pass unchanged on every later commit.
+rewritten for speed, and must pass unchanged on every later commit. The
+``baseline/`` entries, which pin the teacher-free PPO path, were added
+later, generated on the commit before PPO and S2CD shared one rollout
+buffer and one update loop.
 Print the current values with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -67,6 +71,8 @@ def output_digests(work: Path) -> dict[str, str]:
          "--out", str(base / "student")],
         ["ablate", "--config", str(cfg["student"]), "--bundle", bundle,
          "--out", str(base / "ablate"), "--ablate", "no-kl"],
+        ["train-student", "--config", str(cfg["student"]), "--baseline",
+         "--out", str(base / "baseline")],
         ["evaluate", "--checkpoint", bundle, "--config", str(cfg["eval"]),
          "--out", str(base / "eval")],
         ["theory", "--config", str(cfg["theory"]), "--out", str(base / "theory")],
