@@ -15,7 +15,6 @@ from .highway_sim import (
     VehicleState,
     WorldState,
     detect_collision,
-    snapshot_json,
     spawn_scenario,
     step,
     traffic_policy,
@@ -23,7 +22,6 @@ from .highway_sim import (
 )
 from .mdp_interface import (
     HighwayEnv,
-    Observation,
     RewardBreakdown,
     RewardConfig,
     build_observation,

@@ -21,7 +21,7 @@ from .highway_sim import SimConfig
 from .mdp_interface import OBS_DIM, HighwayEnv, RewardConfig
 from .ppo_core import HyperParams, TrainingAborted, evaluate_actor, train_ppo
 from .s2cd_engine import S2cdHyper, SwitchConfig, TeacherAugmentedEnv, train_s2cd
-from .teacher_suite import load_bundle, save_bundle, train_teacher
+from .teacher_suite import load_bundle, save_bundle, teacher_hyper, train_teacher
 from .tensor_nn import load_net, save_net
 from .theory_validation import run_sweep
 
@@ -113,9 +113,8 @@ def load_config(path: str | None, command: str) -> dict:
                     ["instances", "max_states", "max_actions", "tolerance", "seed"])
     if "quality" in cfg and cfg["quality"] not in ("high", "low", "complex"):
         raise ConfigError(f"unknown teacher quality {cfg['quality']!r}")
-    if "seeds" in cfg and (not cfg["seeds"] or
-                           not all(isinstance(s, int) for s in cfg["seeds"])):
-        raise ConfigError("seeds must be a nonempty list of integers")
+    if "seeds" in cfg and (not cfg["seeds"] or not all(_is_int(s, 0) for s in cfg["seeds"])):
+        raise ConfigError("seeds must be a nonempty list of non-negative integers")
     if "eval_episodes" in cfg and not _is_int(cfg["eval_episodes"], 1):
         raise ConfigError("eval_episodes must be a positive integer")
     if "theory" in cfg:
@@ -157,6 +156,12 @@ def _build_hyper(cfg: dict, student: bool):
     return HyperParams(**base)
 
 
+def _run_seeds(args, cfg: dict) -> list[int]:
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be a non-negative integer")
+    return cfg["seeds"] if args.seed is None else [args.seed]
+
+
 def _start_outputs(args, cfg: dict) -> Path:
     """Create ``--out`` and write the config snapshot. Call only once every
     config error has been ruled out: a ``ValueError`` raised after this
@@ -191,9 +196,10 @@ def _eval_env_factory(cfg: dict, seed: int, fidelity_override: str | None = None
 
 def cmd_train_teacher(args) -> int:
     cfg = load_config(args.config, "train-teacher")
-    seeds = [args.seed] if args.seed is not None else cfg["seeds"]
+    seeds = _run_seeds(args, cfg)
     quality = cfg.get("quality", "high")
     hp = _build_hyper(cfg, student=False)
+    teacher_hyper(hp, quality)  # rejects a budget too small for the head fit
     out = _start_outputs(args, cfg)
     for seed in seeds:
         run_dir = out / f"seed_{seed}"
@@ -228,7 +234,7 @@ def _apply_ablations(hp: S2cdHyper, flags: str | None) -> S2cdHyper:
 
 def cmd_train_student(args) -> int:
     cfg = load_config(args.config, "train-student")
-    seeds = [args.seed] if args.seed is not None else cfg["seeds"]
+    seeds = _run_seeds(args, cfg)
 
     baseline = getattr(args, "baseline", False)
     if baseline:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 import hashlib
-import json
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -95,11 +94,14 @@ _NUMBER_KINDS = {"int": numbers.Integral, "float": numbers.Real, "float | None":
 
 
 def check_number_fields(config) -> None:
-    """Raise ValueError when a numeric dataclass field holds a non-number."""
+    """Raise ValueError when a numeric dataclass field holds a non-number
+    or a non-finite float."""
     for f in fields(config):
         kind, value = _NUMBER_KINDS.get(f.type), getattr(config, f.name)
         if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
             raise ValueError(f"{f.name} must be of type {f.type}")
+        if kind is not None and isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass
@@ -127,9 +129,8 @@ class SimConfig:
     def validate(self) -> None:
         check_number_fields(self)
         for name in ("decisions_per_second", "speed_limit", "episode_length", "lane_width"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if self.lanes_count < 2:
             raise ValueError("lanes_count must be at least 2")
         if self.sim_dt <= 0:
@@ -544,15 +545,3 @@ def world_hash(world: WorldState) -> str:
             v.lateral_offset.hex(), v.speed.hex(), v.target_speed.hex(), maneuver,
         ]))
     return hashlib.sha256("\n".join(parts).encode()).hexdigest()
-
-
-def snapshot_json(world: WorldState) -> str:
-    """Debug replay record: compact JSON of time plus per-vehicle kinematics."""
-    payload = {
-        "sim_time": world.sim_time,
-        "vehicles": [
-            {"id": v.id, "lane": v.lane_index, "pos": v.longitudinal_pos, "speed": v.speed}
-            for v in world.vehicles
-        ],
-    }
-    return json.dumps(payload, sort_keys=True)

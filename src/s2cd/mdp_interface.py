@@ -24,7 +24,6 @@ from .highway_sim import (
 
 __all__ = [
     "Action",
-    "Observation",
     "RewardConfig",
     "RewardBreakdown",
     "build_observation",
@@ -43,18 +42,6 @@ N_ACTIONS = 3
 # Neighbour slot order; (lane offset, ahead?) relative to the ego lane.
 SLOT_NAMES = ("front", "front_left", "rear_left", "front_right", "rear_right")
 _SLOT_SPEC = ((0, True), (-1, True), (-1, False), (1, True), (1, False))
-
-
-@dataclass(frozen=True)
-class Observation:
-    v_e: float
-    neighbors: tuple[tuple[float, float], ...]  # five (v_i, d_i) pairs
-
-    def vector(self) -> np.ndarray:
-        out = [self.v_e]
-        for v_i, d_i in self.neighbors:
-            out.extend((v_i, d_i))
-        return np.array(out, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -78,15 +65,16 @@ class RewardBreakdown:
         return self.efficiency - self.cost
 
 
-def build_observation(world: WorldState) -> Observation:
-    """Raw (unnormalized) observation of the current world.
+def build_observation(world: WorldState) -> np.ndarray:
+    """Raw (unnormalized) observation of the current world: the ego speed,
+    then a (v_i, d_i) pair per slot in ``SLOT_NAMES`` order.
 
     Absent slots take the sentinel (v_i = ego speed, d_i = sensor range):
     a phantom at maximum range with zero closing speed.
     """
     cfg = world.config
     ego = world.ego()
-    slots = []
+    out = [ego.speed]
     for lane_offset, ahead in _SLOT_SPEC:
         lane = ego.lane_index + lane_offset
         best = None
@@ -105,10 +93,10 @@ def build_observation(world: WorldState) -> Observation:
                     best = v
                     best_gap = gap
         if best is None:
-            slots.append((ego.speed, cfg.sensor_range))
+            out.extend((ego.speed, cfg.sensor_range))
         else:
-            slots.append((best.speed, best_gap))
-    return Observation(v_e=ego.speed, neighbors=tuple(slots))
+            out.extend((best.speed, best_gap))
+    return np.array(out, dtype=np.float64)
 
 
 def efficiency_reward(v_e: float, cfg: RewardConfig = RewardConfig(),
@@ -198,5 +186,5 @@ class HighwayEnv:
     def _observe(self) -> np.ndarray:
         """Speeds over the speed limit, distances over the sensor range."""
         limit, sensor = self.config.speed_limit, self.config.sensor_range
-        return build_observation(self.world).vector() / np.array(
+        return build_observation(self.world) / np.array(
             (limit,) + (limit, sensor) * len(_SLOT_SPEC))

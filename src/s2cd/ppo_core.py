@@ -1,5 +1,7 @@
 """Baseline PPO: rollout collection, GAE advantages, clipped surrogate
-loss with value and entropy terms, minibatched epoch updates.
+loss with value and entropy terms, minibatched epoch updates. The rollout
+buffer, the update loop and the result type also serve S2CD training,
+which passes its own rows and loss.
 """
 from __future__ import annotations
 
@@ -63,42 +65,64 @@ class Transition:
     reward: float
     value: float
     done: bool
+    executed: bool = True
 
 
 class RolloutBuffer:
-    """Transitions for one collection phase plus computed GAE targets."""
+    """Rows of one collection phase plus their advantages and returns.
+
+    Executed rows form the trajectory, in order. A synthetic row
+    (``executed=False``) is an action that was not taken, with a predicted
+    reward, at the state of the executed row it follows, and shares that
+    row's value and done flag. Plain PPO stores executed rows only.
+    """
 
     def __init__(self):
-        self.transitions: list[Transition] = []
+        self.rows: list[Transition] = []
         self.advantages: np.ndarray | None = None
         self.returns: np.ndarray | None = None
 
-    def add(self, transition: Transition) -> None:
-        self.transitions.append(transition)
+    def add(self, row: Transition) -> None:
+        self.rows.append(row)
 
     def __len__(self) -> int:
-        return len(self.transitions)
+        return len(self.rows)
 
     def finalize(self, hp: HyperParams, bootstrap_value: float) -> None:
-        rewards = np.array([t.reward for t in self.transitions])
-        values = np.array([t.value for t in self.transitions])
-        dones = np.array([t.done for t in self.transitions], dtype=bool)
-        adv, ret = compute_gae(rewards, values, dones, hp.gamma, hp.gae_lambda,
-                               bootstrap_value)
+        """GAE over the executed rows; each synthetic row gets the one-step
+        TD residual of its predicted reward. All advantages are normalized
+        jointly."""
+        executed = np.array([r.executed for r in self.rows], dtype=bool)
+        rewards = np.array([r.reward for r in self.rows])
+        values = np.array([r.value for r in self.rows])[executed]
+        dones = np.array([r.done for r in self.rows], dtype=bool)[executed]
+        adv_exec, ret_exec = compute_gae(rewards[executed], values, dones, hp.gamma,
+                                         hp.gae_lambda, bootstrap_value)
+        synthetic = ~executed
+        # index of the executed row that each synthetic row follows
+        i = np.cumsum(executed)[synthetic] - 1
+        next_values = np.append(values[1:], bootstrap_value)
+        nonterminal = np.where(dones[i], 0.0, 1.0)
+        td = rewards[synthetic] + hp.gamma * next_values[i] * nonterminal - values[i]
+
+        adv = np.empty(len(self.rows))
+        ret = np.empty(len(self.rows))
+        adv[executed], ret[executed] = adv_exec, ret_exec
+        adv[synthetic], ret[synthetic] = td, td + values[i]
         self.advantages = normalize_advantages(adv)
         self.returns = ret
 
     def batch(self) -> dict[str, np.ndarray]:
         return {
-            "obs": np.stack([t.obs for t in self.transitions]),
-            "actions": np.array([t.action for t in self.transitions], dtype=np.int64),
-            "logprob_old": np.array([t.logprob_old for t in self.transitions]),
+            "obs": np.stack([r.obs for r in self.rows]),
+            "actions": np.array([r.action for r in self.rows], dtype=np.int64),
+            "logprob_old": np.array([r.logprob_old for r in self.rows]),
             "advantages": self.advantages,
             "returns": self.returns,
         }
 
     def clear(self) -> None:
-        self.transitions = []
+        self.rows = []
         self.advantages = None
         self.returns = None
 
@@ -330,7 +354,8 @@ def _run_updates(buffer: RolloutBuffer, actor: DenseNet, critic: DenseNet,
                  opt_actor: OptimState, opt_critic: OptimState, hp: HyperParams,
                  rng: np.random.Generator, progress: float,
                  loss_fn=ppo_loss) -> float:
-    """Minibatched epochs over the buffer; returns post-update KL(old||new)."""
+    """Minibatched epochs of ``loss_fn(minibatch, actor, critic, hp)`` over
+    the buffer; returns post-update KL(old||new)."""
     batch = buffer.batch()
     n = len(batch["actions"])
     for _ in range(hp.update_epochs):

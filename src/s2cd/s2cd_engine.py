@@ -8,29 +8,40 @@ adaptive-clip PPO loss with a decaying KL pull toward the teacher. The
 weaning coefficient tau shrinks the switch threshold slack, the clip
 asymmetry and the KL weight together, so the objective falls back to plain
 PPO as training progresses.
+
+The rollout rows, buffer, update loop and result type are PPO's from
+``ppo_core``: ``DualTransition`` adds a row's origin, teacher probabilities
+and clip modulation to ``Transition``, ``DualRolloutBuffer`` only adds
+those columns to the batch, and ``train_s2cd`` runs ``ppo_core``'s update
+loop with ``s2cd_loss`` at the phase's tau.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
 from .highway_sim import Action, check_number_fields
 from .mdp_interface import HighwayEnv
+
+# compute_gae and adamw_step are not called here, but benchmarks/tracer.py
+# wraps this module's binding of each and cannot install without them.
 from .ppo_core import (
     EpisodeTracker,
     HyperParams,
     PhaseMetrics,
-    TrainingAborted,
+    RolloutBuffer,
+    TrainResult,
+    Transition,
+    _run_updates,
     compute_gae,
-    normalize_advantages,
     sample_action,
 )
 from .tensor_nn import (
     DenseNet,
-    GradientError,
     Head,
     NetSpec,
     OptimState,
@@ -120,86 +131,29 @@ def augment_observation(obs: np.ndarray, teacher_action: int) -> np.ndarray:
     return np.concatenate([np.asarray(obs, dtype=np.float64), onehot])
 
 
-@dataclass
-class DualTransition:
-    obs: np.ndarray               # augmented observation
-    action: int
-    reward: float                 # observed, or return-net prediction for the
-                                  # teacher's non-executed alternative
+@dataclass(kw_only=True)
+class DualTransition(Transition):
+    """A row of the student's rollout. ``obs`` is the augmented
+    observation; a synthetic row's ``reward`` is the return net's
+    prediction for the teacher's action."""
     origin: Origin
     teacher_probs: np.ndarray
-    logprob_old: float
     eps_prime: float
-    value: float
-    done: bool
-    executed: bool
-    step_index: int
 
 
-class DualRolloutBuffer:
-    """Executed trajectory plus teacher-predicted alternative rows."""
-
-    def __init__(self):
-        self.rows: list[DualTransition] = []
-        self.advantages: np.ndarray | None = None
-        self.returns: np.ndarray | None = None
-
-    def add(self, row: DualTransition) -> None:
-        self.rows.append(row)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def executed_rows(self) -> list[DualTransition]:
-        return [r for r in self.rows if r.executed]
-
-    def finalize(self, hp: HyperParams, bootstrap_value: float) -> None:
-        """GAE over the executed trajectory; one-step TD residuals with the
-        predicted reward for the teacher's alternatives. All advantages are
-        normalized jointly."""
-        executed = self.executed_rows()
-        n = len(executed)
-        rewards = np.array([r.reward for r in executed])
-        values = np.array([r.value for r in executed])
-        dones = np.array([r.done for r in executed], dtype=bool)
-        adv_exec, ret_exec = compute_gae(rewards, values, dones, hp.gamma,
-                                         hp.gae_lambda, bootstrap_value)
-        next_values = np.append(values[1:], bootstrap_value)
-
-        adv = np.zeros(len(self.rows))
-        ret = np.zeros(len(self.rows))
-        exec_cursor = {id(r): i for i, r in enumerate(executed)}
-        for j, row in enumerate(self.rows):
-            if row.executed:
-                i = exec_cursor[id(row)]
-                adv[j] = adv_exec[i]
-                ret[j] = ret_exec[i]
-            else:
-                i = row.step_index
-                nonterminal = 0.0 if dones[i] else 1.0
-                td = row.reward + hp.gamma * next_values[i] * nonterminal - values[i]
-                adv[j] = td
-                ret[j] = td + values[i]
-        self.advantages = normalize_advantages(adv)
-        self.returns = ret
+class DualRolloutBuffer(RolloutBuffer):
+    """The PPO rollout buffer, whose batch also carries what the S2CD loss
+    needs: sample origin, clip modulation, teacher probabilities and which
+    rows were executed."""
 
     def batch(self) -> dict[str, np.ndarray]:
         return {
-            "obs": np.stack([r.obs for r in self.rows]),
-            "actions": np.array([r.action for r in self.rows], dtype=np.int64),
-            "logprob_old": np.array([r.logprob_old for r in self.rows]),
-            "advantages": self.advantages,
-            "returns": self.returns,
+            **super().batch(),
             "teacher_origin": np.array([r.origin is Origin.TEACHER for r in self.rows]),
             "eps_prime": np.array([r.eps_prime for r in self.rows]),
             "teacher_probs": np.stack([r.teacher_probs for r in self.rows]),
             "executed": np.array([r.executed for r in self.rows]),
         }
-
-    def clear(self) -> None:
-        self.rows = []
-        self.advantages = None
-        self.returns = None
 
 
 def clip_bounds(teacher_origin: np.ndarray, eps: float,
@@ -346,7 +300,6 @@ class CollectorState:
 class CollectStats:
     steps: int = 0
     interventions: int = 0
-    teacher_rows: int = 0
     synthetic_rows: int = 0
     kl_sum: float = 0.0
     entropy_sum: float = 0.0
@@ -374,7 +327,7 @@ def collect_dual(env: TeacherAugmentedEnv, actor: DenseNet, critic: DenseNet,
     action, its predicted transition is stored as an extra teacher row."""
     stats = CollectStats()
     tau_episode = decay_tau(state.episodes, switch_cfg, hp.intervention_decay)
-    for step_index in range(n_steps):
+    for _ in range(n_steps):
         if state.done:
             state.obs = env.reset()
             state.done = False
@@ -402,7 +355,6 @@ def collect_dual(env: TeacherAugmentedEnv, actor: DenseNet, critic: DenseNet,
             origin=Origin.TEACHER if intervened else Origin.STUDENT,
             teacher_probs=advice.probs, logprob_old=float(log_probs[a_exec]),
             eps_prime=eps_prime, value=value, done=state.done,
-            executed=True, step_index=stats.steps,
         ))
         if hp.dual_source and advice.action != a_exec:
             buffer.add(DualTransition(
@@ -410,13 +362,12 @@ def collect_dual(env: TeacherAugmentedEnv, actor: DenseNet, critic: DenseNet,
                 origin=Origin.TEACHER, teacher_probs=advice.probs,
                 logprob_old=float(log_probs[advice.action]),
                 eps_prime=eps_prime, value=value, done=state.done,
-                executed=False, step_index=stats.steps,
+                executed=False,
             ))
             stats.synthetic_rows += 1
 
         stats.steps += 1
         stats.interventions += int(intervened)
-        stats.teacher_rows += int(intervened)
         stats.kl_sum += kl_penalty(advice.probs, probs)
         stats.entropy_sum += float(-np.add.reduce(probs * np.log(probs)))
         if tracker is not None:
@@ -424,7 +375,6 @@ def collect_dual(env: TeacherAugmentedEnv, actor: DenseNet, critic: DenseNet,
         if state.done:
             state.episodes += 1
         state.obs = next_obs
-    stats.teacher_rows += stats.synthetic_rows
     return stats
 
 
@@ -441,16 +391,9 @@ class S2cdPhaseMetrics(PhaseMetrics):
         return base
 
 
-@dataclass
-class S2cdTrainResult:
-    actor: DenseNet
-    critic: DenseNet
-    metrics: list[S2cdPhaseMetrics]
-
-
 def train_s2cd(complex_env: HighwayEnv, bundle: TeacherBundle, hp: S2cdHyper,
                switch_cfg: SwitchConfig, seed: int,
-               phase_callback=None) -> S2cdTrainResult:
+               phase_callback=None) -> TrainResult:
     """Teacher-gated training loop: alternating dual collection phases and
     minibatched adaptive-clip updates. The loss uses the tau snapshot taken
     at phase start so updates stay deterministic; the switch refreshes tau
@@ -478,19 +421,20 @@ def train_s2cd(complex_env: HighwayEnv, bundle: TeacherBundle, hp: S2cdHyper,
         buffer.finalize(hp, bootstrap)
 
         progress = min(phase * hp.rollout_steps / hp.total_steps, 1.0)
-        kl_update = _run_dual_updates(buffer, actor, critic, opt_actor, opt_critic,
-                                      hp, rng, progress, tau_phase)
+        kl_update = _run_updates(buffer, actor, critic, opt_actor, opt_critic, hp, rng,
+                                 progress, partial(s2cd_loss, tau=tau_phase))
         buffer.clear()
 
         mean_ret, mean_cost, mean_speed, collisions = tracker.phase_summary()
         total_rows = stats.steps + stats.synthetic_rows
+        teacher_rows = stats.interventions + stats.synthetic_rows
         row = S2cdPhaseMetrics(
             step=(phase + 1) * hp.rollout_steps, mean_return=mean_ret,
             mean_cost=mean_cost, mean_speed=mean_speed, collisions=collisions,
             entropy=stats.mean_entropy, kl=kl_update,
             intervention_rate=stats.intervention_rate, tau=tau_phase,
             mean_kl=stats.mean_kl,
-            teacher_sample_fraction=stats.teacher_rows / total_rows if total_rows else 0.0,
+            teacher_sample_fraction=teacher_rows / total_rows if total_rows else 0.0,
         )
         metrics.append(row)
         if phase_callback is not None:
@@ -498,28 +442,4 @@ def train_s2cd(complex_env: HighwayEnv, bundle: TeacherBundle, hp: S2cdHyper,
 
     if bundle.checksum() != frozen:
         raise RuntimeError("teacher bundle was mutated during student training")
-    return S2cdTrainResult(actor=actor, critic=critic, metrics=metrics)
-
-
-def _run_dual_updates(buffer: DualRolloutBuffer, actor: DenseNet, critic: DenseNet,
-                      opt_actor: OptimState, opt_critic: OptimState, hp: S2cdHyper,
-                      rng: np.random.Generator, progress: float, tau: float) -> float:
-    batch = buffer.batch()
-    n = len(batch["actions"])
-    for _ in range(hp.update_epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, hp.minibatch):
-            idx = order[start : start + hp.minibatch]
-            mini = {k: (v[idx] if isinstance(v, np.ndarray) else v)
-                    for k, v in batch.items()}
-            loss, grads, _ = s2cd_loss(mini, actor, critic, hp, tau)
-            if not np.isfinite(loss):
-                raise TrainingAborted("non-finite loss", {"progress": progress})
-            try:
-                actor.params = adamw_step(opt_actor, actor.params, grads["actor"], progress)
-                critic.params = adamw_step(opt_critic, critic.params, grads["critic"], progress)
-            except GradientError as exc:
-                raise TrainingAborted(str(exc), {"progress": progress}) from exc
-    probs, cache = actor.forward(batch["obs"])
-    lp_new = actor.policy_log_probs(cache)[np.arange(n), batch["actions"]]
-    return float(np.mean(batch["logprob_old"] - lp_new))
+    return TrainResult(actor=actor, critic=critic, metrics=metrics)

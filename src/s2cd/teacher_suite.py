@@ -28,6 +28,9 @@ QUALITY_TAGS = ("high", "low", "complex")
 # half the high-quality budget.
 QUALITY_BUDGET_SCALE = {"high": 1.0, "low": 0.5, "complex": 1.0}
 
+# Fewest supervised rows the predictor heads are fitted on.
+MIN_FIT_ROWS = 1000
+
 
 @dataclass
 class SupervisedRow:
@@ -118,7 +121,7 @@ def fit_value_heads(rows: list[SupervisedRow], return_net: DenseNet | None = Non
                     qvalue_net: DenseNet | None = None, seed: int = 0,
                     epochs: int = 40, minibatch: int = 64, base_lr: float = 0.001,
                     heldout_fraction: float = 0.1,
-                    min_rows: int = 1000) -> tuple[DenseNet, DenseNet, FitReport]:
+                    min_rows: int = MIN_FIT_ROWS) -> tuple[DenseNet, DenseNet, FitReport]:
     """Squared-error regression of both predictor nets on visited (s, a)
     pairs. Only the output at the visited action index is constrained.
     """
@@ -182,6 +185,21 @@ def fit_value_heads(rows: list[SupervisedRow], return_net: DenseNet | None = Non
     return return_net, qvalue_net, report
 
 
+def teacher_hyper(hp: HyperParams, quality: str) -> HyperParams:
+    """``hp`` with ``total_steps`` scaled to the budget of a ``quality``
+    teacher. Raises ValueError when that budget is empty, or when its whole
+    collection phases give fewer rows than the head fit needs."""
+    if quality not in QUALITY_TAGS:
+        raise ValueError(f"quality must be one of {QUALITY_TAGS}")
+    hp = HyperParams(**{**vars(hp),
+                        "total_steps": int(hp.total_steps * QUALITY_BUDGET_SCALE[quality])})
+    rows = max(1, hp.total_steps // hp.rollout_steps) * hp.rollout_steps
+    if rows < MIN_FIT_ROWS:
+        raise ValueError(f"total_steps gives a {quality} teacher {rows} rows; "
+                         f"the head fit needs at least {MIN_FIT_ROWS}")
+    return hp
+
+
 def train_teacher(simple_env, hp: HyperParams, quality: str, seed: int,
                   phase_callback=None) -> tuple[TeacherBundle, TrainResult]:
     """Full teacher pipeline on the simple-fidelity world.
@@ -191,10 +209,7 @@ def train_teacher(simple_env, hp: HyperParams, quality: str, seed: int,
     the frozen bundle. ``hp.total_steps`` is the high-quality budget; a
     low-quality teacher trains on half of it.
     """
-    if quality not in QUALITY_TAGS:
-        raise ValueError(f"quality must be one of {QUALITY_TAGS}")
-    budget = int(hp.total_steps * QUALITY_BUDGET_SCALE[quality])
-    hp = HyperParams(**{**vars(hp), "total_steps": budget})
+    hp = teacher_hyper(hp, quality)
 
     rows: list[SupervisedRow] = []
     nets: dict = {"return": None, "q": None, "report": None}
@@ -209,7 +224,7 @@ def train_teacher(simple_env, hp: HyperParams, quality: str, seed: int,
         # refit on the whole accumulated buffer so rare early events (the
         # crash states the gate must recognise) stay in the regression
         # distribution for the entire run
-        if len(rows) >= 1000:
+        if len(rows) >= MIN_FIT_ROWS:
             nets["return"], nets["q"], nets["report"] = fit_value_heads(
                 rows, return_net=nets["return"], qvalue_net=nets["q"],
                 seed=fit_seed, epochs=1)
@@ -229,7 +244,7 @@ def train_teacher(simple_env, hp: HyperParams, quality: str, seed: int,
         return_net=nets["return"], qvalue_net=nets["q"],
         quality_tag=quality,
         meta={
-            "training_steps": budget,
+            "training_steps": hp.total_steps,
             "seed": seed,
             "fit_heldout_mse": nets["report"].heldout_mse,
             "fit_target_variance": nets["report"].target_variance,

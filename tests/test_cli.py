@@ -126,6 +126,9 @@ class TestErrorReporting:
         ("sim", "episode_length", -5), ("sim", "episode_length", float("inf")),
         ("sim", "speed_limit", 0), ("sim", "speed_limit", float("nan")),
         ("sim", "lane_width", 0), ("sim", "lane_width", -3.75),
+        ("hyper", "base_lr", float("nan")), ("hyper", "ratio_logclamp", float("inf")),
+        ("reward", "alpha1", float("nan")), ("switch", "q2", float("-inf")),
+        ("hyper", "total_steps", 500),
     ])
     def test_malformed_numbers_rejected_before_outputs(self, tmp_path, capsys,
                                                        section, key, value):
@@ -136,6 +139,15 @@ class TestErrorReporting:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "config error" in err and key in err
+
+    @pytest.mark.parametrize("seeds,argv", [([-1], []), ([True], []), ([1], ["--seed", "-1"])])
+    def test_bad_seeds_rejected_before_outputs(self, tmp_path, capsys, seeds, argv):
+        cfg = write_config(tmp_path, "bad.json", {**MICRO_TEACHER, "seeds": seeds})
+        out = tmp_path / "out"
+        assert main(["train-teacher", "--config", cfg, "--out", str(out), *argv]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and "seed" in err
 
     def test_student_config_errors_write_nothing(self, tmp_path, teacher_dir):
         cfg = write_config(tmp_path, "student.json", MICRO_STUDENT)

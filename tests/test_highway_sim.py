@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from s2cd.highway_sim import (
     VehicleState,
     WorldState,
     detect_collision,
-    snapshot_json,
     spawn_scenario,
     step,
     traffic_policy,
@@ -340,12 +338,6 @@ class TestEpisodeLengths:
 
 
 class TestSnapshot:
-    def test_snapshot_schema(self):
-        world = spawn_scenario(make_config(seed=1))
-        payload = json.loads(snapshot_json(world))
-        assert set(payload) == {"sim_time", "vehicles"}
-        assert all(set(v) == {"id", "lane", "pos", "speed"} for v in payload["vehicles"])
-
     def test_terminal_world_rejects_step(self):
         world = spawn_scenario(make_config(seed=1))
         world.terminal = True

@@ -13,7 +13,6 @@ from s2cd.highway_sim import (
 )
 from s2cd.mdp_interface import (
     HighwayEnv,
-    Observation,
     RewardBreakdown,
     RewardConfig,
     build_observation,
@@ -40,10 +39,9 @@ class TestObservation:
         world = empty_world()
         world.ego().speed = 14.0
         obs = build_observation(world)
-        assert obs.v_e == 14.0
-        for v_i, d_i in obs.neighbors:
-            assert v_i == 14.0
-            assert d_i == 50.0
+        assert obs[0] == 14.0
+        assert np.array_equal(obs[1::2], np.full(5, 14.0))
+        assert np.array_equal(obs[2::2], np.full(5, 50.0))
 
     def test_front_vehicle_raw_and_normalized(self):
         world = empty_world()
@@ -51,7 +49,7 @@ class TestObservation:
         # bumper gap 30 means center distance 35 with 5 m lengths
         add_vehicle(world, 1, 35.0, 1, 20.0)
         obs = build_observation(world)
-        assert obs.neighbors[0] == (20.0, 30.0)
+        assert (obs[1], obs[2]) == (20.0, 30.0)
         env = HighwayEnv(world.config)
         env.world = world
         vec = env._observe()
@@ -63,27 +61,36 @@ class TestObservation:
         add_vehicle(world, 1, 17.0, 0, 18.0)   # gap 12 front-left
         add_vehicle(world, 2, 45.0, 0, 22.0)   # gap 40 front-left
         obs = build_observation(world)
-        assert obs.neighbors[1] == (18.0, 12.0)
+        assert (obs[3], obs[4]) == (18.0, 12.0)
 
     def test_vehicle_beyond_sensor_ignored(self):
         world = empty_world()
         world.ego().speed = 5.0
         add_vehicle(world, 1, 60.0, 1, 20.0)   # gap 55 > 50
         obs = build_observation(world)
-        assert obs.neighbors[0] == (5.0, 50.0)
+        assert (obs[1], obs[2]) == (5.0, 50.0)
 
     def test_missing_adjacent_lane_sentinel(self):
         world = empty_world()
         world.ego().lane_index = 0
         world.ego().speed = 8.0
         obs = build_observation(world)
-        assert obs.neighbors[1] == (8.0, 50.0)  # no lane to the left
-        assert obs.neighbors[2] == (8.0, 50.0)
+        assert (obs[3], obs[4]) == (8.0, 50.0)  # no lane to the left
+        assert (obs[5], obs[6]) == (8.0, 50.0)
 
     def test_vector_layout(self):
-        obs = Observation(v_e=1.0, neighbors=((2.0, 3.0), (4.0, 5.0), (6.0, 7.0),
-                                              (8.0, 9.0), (10.0, 11.0)))
-        assert np.array_equal(obs.vector(), np.arange(1.0, 12.0))
+        # ego in the middle lane at 0 with one vehicle in every slot; with
+        # 5 m lengths a bumper gap g puts a vehicle at +-(g + 5)
+        world = empty_world()
+        world.ego().speed = 1.0
+        for vid, (pos, lane, speed) in enumerate([(8.0, 1, 2.0), (10.0, 0, 4.0),
+                                                  (-12.0, 0, 6.0), (14.0, 2, 8.0),
+                                                  (-16.0, 2, 10.0)], start=1):
+            add_vehicle(world, vid, pos, lane, speed)
+        obs = build_observation(world)
+        assert obs.dtype == np.float64
+        assert np.array_equal(obs, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0,
+                                    8.0, 9.0, 10.0, 11.0])
 
     def test_normalized_components_in_unit_box_for_reachable_worlds(self):
         rng = np.random.default_rng(0)

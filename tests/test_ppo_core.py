@@ -164,6 +164,61 @@ class TestComputeGae:
             compute_gae(np.zeros(3), np.zeros(4), np.zeros(3, dtype=bool), 0.9, 0.9, 0.0)
 
 
+def finalize_reference(rows, hp, bootstrap_value):
+    """Row-by-row advantages and returns as the separate S2CD buffer
+    computed them: GAE over the executed rows, a one-step TD residual for
+    each synthetic row at the executed row before it."""
+    executed = [r for r in rows if r.executed]
+    rewards = np.array([r.reward for r in executed])
+    values = np.array([r.value for r in executed])
+    dones = np.array([r.done for r in executed], dtype=bool)
+    adv_exec, ret_exec = compute_gae(rewards, values, dones, hp.gamma, hp.gae_lambda,
+                                     bootstrap_value)
+    next_values = np.append(values[1:], bootstrap_value)
+    adv = np.zeros(len(rows))
+    ret = np.zeros(len(rows))
+    i = -1
+    for j, row in enumerate(rows):
+        if row.executed:
+            i += 1
+            adv[j] = adv_exec[i]
+            ret[j] = ret_exec[i]
+        else:
+            nonterminal = 0.0 if dones[i] else 1.0
+            td = row.reward + hp.gamma * next_values[i] * nonterminal - values[i]
+            adv[j] = td
+            ret[j] = td + values[i]
+    return normalize_advantages(adv), ret
+
+
+class TestRolloutBuffer:
+    def test_finalize_bits_match_row_by_row_reference(self):
+        hp = HyperParams()
+        rng = np.random.default_rng(5)
+        for trial in range(300):
+            buffer = RolloutBuffer()
+            for _ in range(int(rng.integers(1, 40))):
+                value, done = float(rng.normal()), bool(rng.random() < 0.1)
+                buffer.add(Transition(obs=np.zeros(2), action=0, logprob_old=0.0,
+                                      reward=float(rng.normal()), value=value, done=done))
+                if trial % 2 and rng.random() < 0.5:
+                    buffer.add(Transition(obs=np.zeros(2), action=1, logprob_old=0.0,
+                                          reward=float(rng.normal()), value=value,
+                                          done=done, executed=False))
+            bootstrap = float(rng.normal())
+            buffer.finalize(hp, bootstrap)
+            adv, ret = finalize_reference(buffer.rows, hp, bootstrap)
+            assert buffer.advantages.tobytes() == adv.tobytes()
+            assert buffer.returns.tobytes() == ret.tobytes()
+            if trial % 2 == 0:  # executed rows only: plain PPO's GAE targets
+                rows = buffer.rows
+                gae_adv, gae_ret = compute_gae(
+                    np.array([r.reward for r in rows]), np.array([r.value for r in rows]),
+                    np.array([r.done for r in rows]), hp.gamma, hp.gae_lambda, bootstrap)
+                assert buffer.advantages.tobytes() == normalize_advantages(gae_adv).tobytes()
+                assert buffer.returns.tobytes() == gae_ret.tobytes()
+
+
 def make_batch(seed=0, n=48, obs_dim=6):
     rng = np.random.default_rng(seed)
     actor = DenseNet.create(NetSpec(obs_dim, 3, hidden=(16, 16), head=Head.SOFTMAX_POLICY), rng)

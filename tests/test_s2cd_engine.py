@@ -380,13 +380,13 @@ class TestDualBuffer:
         # two executed steps with a synthetic alternative at step 0
         buffer.add(DualTransition(obs=obs, action=0, reward=1.0, origin=Origin.STUDENT,
                                   teacher_probs=probs, logprob_old=-1.0, eps_prime=0.1,
-                                  value=0.5, done=False, executed=True, step_index=0))
+                                  value=0.5, done=False, executed=True))
         buffer.add(DualTransition(obs=obs, action=1, reward=0.3, origin=Origin.TEACHER,
                                   teacher_probs=probs, logprob_old=-1.0, eps_prime=0.1,
-                                  value=0.5, done=False, executed=False, step_index=0))
+                                  value=0.5, done=False, executed=False))
         buffer.add(DualTransition(obs=obs, action=2, reward=0.0, origin=Origin.STUDENT,
                                   teacher_probs=probs, logprob_old=-1.0, eps_prime=0.1,
-                                  value=0.2, done=True, executed=True, step_index=1))
+                                  value=0.2, done=True, executed=True))
         buffer.finalize(hp, bootstrap_value=9.9)
 
         # raw (pre-normalization) oracle values
