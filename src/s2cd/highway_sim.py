@@ -17,6 +17,7 @@ import bisect
 import hashlib
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from enum import Enum, IntEnum
 from operator import attrgetter
@@ -94,13 +95,13 @@ _NUMBER_KINDS = {"int": numbers.Integral, "float": numbers.Real, "float | None":
 
 
 def check_number_fields(config) -> None:
-    """Raise ValueError when a numeric dataclass field holds a non-number
-    or a non-finite float."""
+    """Raise ValueError when a numeric dataclass field holds a non-number,
+    or a float field holds NaN, an infinity or an int beyond float range."""
     for f in fields(config):
         kind, value = _NUMBER_KINDS.get(f.type), getattr(config, f.name)
         if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
             raise ValueError(f"{f.name} must be of type {f.type}")
-        if kind is not None and isinstance(value, float) and not math.isfinite(value):
+        if kind is numbers.Real and not abs(value) <= sys.float_info.max:
             raise ValueError(f"{f.name} must be finite")
 
 

@@ -128,6 +128,7 @@ class TestErrorReporting:
         ("sim", "lane_width", 0), ("sim", "lane_width", -3.75),
         ("hyper", "base_lr", float("nan")), ("hyper", "ratio_logclamp", float("inf")),
         ("reward", "alpha1", float("nan")), ("switch", "q2", float("-inf")),
+        ("sim", "speed_limit", 10**400),
         ("hyper", "total_steps", 500),
     ])
     def test_malformed_numbers_rejected_before_outputs(self, tmp_path, capsys,
