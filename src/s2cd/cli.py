@@ -9,20 +9,21 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
-import math
 import sys
+from dataclasses import MISSING, dataclass, replace
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
-from .highway_sim import SimConfig
+from .highway_sim import SimConfig, check_number_fields
 from .mdp_interface import OBS_DIM, HighwayEnv, RewardConfig
 from .ppo_core import HyperParams, TrainingAborted, evaluate_actor, train_ppo
 from .s2cd_engine import S2cdHyper, SwitchConfig, TeacherAugmentedEnv, train_s2cd
 from .teacher_suite import load_bundle, save_bundle, teacher_hyper, train_teacher
-from .tensor_nn import load_net, save_net
+from .tensor_nn import load_net, save_net, write_atomic
 from .theory_validation import run_sweep
 
 
@@ -74,146 +75,143 @@ def default_config(command: str) -> dict:
     return cfg
 
 
-def _check_keys(section: str, data: dict, allowed) -> None:
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in '{section}': {sorted(unknown)}")
+@dataclass(frozen=True)
+class TheoryConfig:
+    """Parameters of the tabular certification sweep; every key is required."""
+    instances: int
+    max_states: int
+    max_actions: int
+    tolerance: float
+    seed: int
+
+    def __post_init__(self) -> None:
+        check_number_fields(self)
+        for key, minimum in (("instances", 1), ("max_states", 1), ("max_actions", 2),
+                             ("seed", 0), ("tolerance", 0)):
+            if getattr(self, key) < minimum:
+                raise ValueError(f"theory.{key} must be >= {minimum}")
 
 
-def _dataclass_keys(cls) -> list[str]:
-    return [f.name for f in dataclass_fields(cls)]
+@dataclass(frozen=True)
+class RunConfig:
+    """A validated config: ``snapshot`` is the merged JSON written to
+    ``config.json``, the other fields are built from it once."""
+    snapshot: dict
+    sim: SimConfig
+    reward: RewardConfig
+    hyper: HyperParams
+    s2cd: S2cdHyper | None
+    switch: SwitchConfig
+    theory: TheoryConfig | None
+    quality: str
+    seeds: tuple[int, ...]
+    eval_episodes: int
 
 
 TOP_KEYS = {"sim", "reward", "hyper", "s2cd", "switch", "quality", "seeds",
             "eval_episodes", "theory"}
 
 
-def load_config(path: str | None, command: str) -> dict:
+def _section(cfg: dict, name: str, cls, skip=()) -> dict:
+    """Keyword arguments for ``cls`` from the JSON object ``cfg[name]``:
+    unknown keys (and ``skip``) are refused, fields without a default
+    required. The dataclass itself checks the values."""
+    data = cfg.get(name, {})
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{name}' must be a JSON object")
+    known = [f for f in dataclass_fields(cls) if f.name not in skip]
+    unknown = set(data) - {f.name for f in known}
+    if unknown:
+        raise ConfigError(f"unknown keys in '{name}': {sorted(unknown)}")
+    missing = [f.name for f in known if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ConfigError(f"missing keys in '{name}': {missing}")
+    return data
+
+
+def load_config(path: str | None, command: str) -> RunConfig:
     cfg = default_config(command)
     if path is not None:
         raw = json.loads(Path(path).read_text())
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        _check_keys("config", raw, TOP_KEYS)
         cfg.update(raw)
-    _check_keys("config", cfg, TOP_KEYS)
-    if "sim" in cfg:
-        _check_keys("sim", cfg["sim"], _dataclass_keys(SimConfig))
-    if "reward" in cfg:
-        _check_keys("reward", cfg["reward"], _dataclass_keys(RewardConfig))
-    if "hyper" in cfg:
-        _check_keys("hyper", cfg["hyper"], _dataclass_keys(HyperParams))
-    if "s2cd" in cfg:
-        s2cd_only = set(_dataclass_keys(S2cdHyper)) - set(_dataclass_keys(HyperParams))
-        _check_keys("s2cd", cfg["s2cd"], s2cd_only)
-    if "switch" in cfg:
-        _check_keys("switch", cfg["switch"], _dataclass_keys(SwitchConfig))
-    if "theory" in cfg:
-        _check_keys("theory", cfg["theory"],
-                    ["instances", "max_states", "max_actions", "tolerance", "seed"])
-    if "quality" in cfg and cfg["quality"] not in ("high", "low", "complex"):
-        raise ConfigError(f"unknown teacher quality {cfg['quality']!r}")
-    if "seeds" in cfg and (not cfg["seeds"] or not all(_is_int(s, 0) for s in cfg["seeds"])):
+    unknown = set(cfg) - TOP_KEYS
+    if unknown:
+        raise ConfigError(f"unknown keys in 'config': {sorted(unknown)}")
+    quality = cfg.get("quality", "high")
+    if quality not in ("high", "low", "complex"):
+        raise ConfigError(f"unknown teacher quality {quality!r}")
+    seeds = cfg.get("seeds", DESK_SEEDS)
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s, 0) for s in seeds):
         raise ConfigError("seeds must be a nonempty list of non-negative integers")
-    if "eval_episodes" in cfg and not _is_int(cfg["eval_episodes"], 1):
+    eval_episodes = cfg.get("eval_episodes", DESK_EVAL_EPISODES)
+    if not _is_int(eval_episodes, 1):
         raise ConfigError("eval_episodes must be a positive integer")
-    if "theory" in cfg:
-        _check_theory(cfg["theory"])
-    # construct once so dataclass validators run before any output is written
-    _build_sim_config(cfg)
-    if "reward" in cfg:
-        RewardConfig(**cfg["reward"])
-    _build_hyper(cfg, student=("s2cd" in cfg))
-    if "switch" in cfg:
-        SwitchConfig(**cfg["switch"])
-    return cfg
+    hyper = _section(cfg, "hyper", HyperParams)
+    hyper_keys = [f.name for f in dataclass_fields(HyperParams)]
+    return RunConfig(
+        snapshot=cfg,
+        sim=SimConfig(**_section(cfg, "sim", SimConfig, skip=("seed",))),
+        reward=RewardConfig(**_section(cfg, "reward", RewardConfig)),
+        hyper=HyperParams(**hyper),
+        # built only on request: the default psi would refuse a small clip_eps
+        s2cd=S2cdHyper(**hyper, **_section(cfg, "s2cd", S2cdHyper, skip=hyper_keys))
+        if "s2cd" in cfg else None,
+        switch=SwitchConfig(**_section(cfg, "switch", SwitchConfig)),
+        theory=TheoryConfig(**_section(cfg, "theory", TheoryConfig))
+        if "theory" in cfg else None,
+        quality=quality, seeds=tuple(seeds), eval_episodes=eval_episodes)
 
 
 def _is_int(value, minimum: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
-def _check_theory(theory: dict) -> None:
-    for key, minimum in (("instances", 1), ("max_states", 1), ("max_actions", 2), ("seed", 0)):
-        if not _is_int(theory.get(key), minimum):
-            raise ConfigError(f"theory.{key} must be an integer >= {minimum}")
-    tolerance = theory.get("tolerance")
-    if not isinstance(tolerance, (int, float)) or isinstance(tolerance, bool) \
-            or not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ConfigError("theory.tolerance must be a finite number >= 0")
-
-
-def _build_sim_config(cfg: dict, seed: int = 0) -> SimConfig:
-    kwargs = dict(cfg.get("sim", {}))
-    kwargs["seed"] = seed
-    return SimConfig(**kwargs)
-
-
-def _build_hyper(cfg: dict, student: bool):
-    base = dict(cfg.get("hyper", {}))
-    if student:
-        return S2cdHyper(**{**base, **cfg.get("s2cd", {})})
-    return HyperParams(**base)
-
-
-def _run_seeds(args, cfg: dict) -> list[int]:
+def _run_seeds(args, run: RunConfig) -> tuple[int, ...]:
     if args.seed is not None and args.seed < 0:
         raise ConfigError("--seed must be a non-negative integer")
-    return cfg["seeds"] if args.seed is None else [args.seed]
+    return run.seeds if args.seed is None else (args.seed,)
 
 
-def _start_outputs(args, cfg: dict) -> Path:
+def _start_outputs(args, run: RunConfig) -> Path:
     """Create ``--out`` and write the config snapshot. Call only once every
     config error has been ruled out: a ``ValueError`` raised after this
     point is reported as a runtime error."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     args.outputs_started = True
-    (out / "config.json").write_text(json.dumps(cfg, sort_keys=True, indent=2))
+    write_atomic(out / "config.json", json.dumps(run.snapshot, sort_keys=True, indent=2))
     return out
 
 
-def _write_metrics_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([repr(row[c]) if isinstance(row[c], float) else row[c]
-                             for c in columns])
-
-
-def _eval_env_factory(cfg: dict, seed: int, fidelity_override: str | None = None):
-    sim = _build_sim_config(cfg, seed=seed)
-    if fidelity_override is not None:
-        kwargs = vars(sim).copy()
-        kwargs["fidelity"] = fidelity_override
-        kwargs["sim_dt"] = None
-        kwargs["decisions_per_second"] = None
-        sim = SimConfig(**kwargs)
-    reward = RewardConfig(**cfg.get("reward", {}))
-    return HighwayEnv(sim, reward, master_seed=EVAL_SEED_OFFSET + seed)
+def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
+    """One row per dict, floats written with their round-trip repr."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(columns)
+    writer.writerows([repr(row[c]) if isinstance(row[c], float) else row[c] for c in columns]
+                     for row in rows)
+    write_atomic(path, text.getvalue())
 
 
 def cmd_train_teacher(args) -> int:
-    cfg = load_config(args.config, "train-teacher")
-    seeds = _run_seeds(args, cfg)
-    quality = cfg.get("quality", "high")
-    hp = _build_hyper(cfg, student=False)
-    teacher_hyper(hp, quality)  # rejects a budget too small for the head fit
-    out = _start_outputs(args, cfg)
+    run = load_config(args.config, "train-teacher")
+    seeds = _run_seeds(args, run)
+    teacher_hyper(run.hyper, run.quality)  # rejects a budget too small for the head fit
+    out = _start_outputs(args, run)
     for seed in seeds:
         run_dir = out / f"seed_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        env = HighwayEnv(_build_sim_config(cfg, seed=seed),
-                         RewardConfig(**cfg.get("reward", {})), master_seed=seed)
-        bundle, result = train_teacher(env, hp, quality=quality, seed=seed)
-        summary = evaluate_actor(_eval_env_factory(cfg, seed), bundle.actor,
-                                 episodes=cfg["eval_episodes"])
+        env = HighwayEnv(run.sim, run.reward, master_seed=seed)
+        bundle, result = train_teacher(env, run.hyper, quality=run.quality, seed=seed)
+        eval_env = HighwayEnv(run.sim, run.reward, master_seed=EVAL_SEED_OFFSET + seed)
+        summary = evaluate_actor(eval_env, bundle.actor, episodes=run.eval_episodes)
         bundle.meta["eval_success"] = summary["success_rate"]
         save_bundle(bundle, run_dir / "bundle")
-        _write_metrics_csv(run_dir / "metrics.csv",
-                           [m.row() for m in result.metrics], PPO_COLUMNS)
-        print(f"teacher seed={seed} quality={quality} "
+        _write_csv(run_dir / "metrics.csv", [m.row() for m in result.metrics], PPO_COLUMNS)
+        print(f"teacher seed={seed} quality={run.quality} "
               f"eval_success={summary['success_rate']:.2f}%")
     return 0
 
@@ -221,54 +219,52 @@ def cmd_train_teacher(args) -> int:
 def _apply_ablations(hp: S2cdHyper, flags: str | None) -> S2cdHyper:
     if not flags:
         return hp
-    kwargs = vars(hp).copy()
+    changes = {}
     for name in flags.split(","):
         name = name.strip()
         if name not in ABLATION_FLAGS:
             raise ConfigError(f"unknown ablation flag {name!r}; "
                               f"choose from {sorted(ABLATION_FLAGS)}")
         key, value = ABLATION_FLAGS[name]
-        kwargs[key] = value
-    return S2cdHyper(**kwargs)
+        changes[key] = value
+    return replace(hp, **changes)
 
 
 def cmd_train_student(args) -> int:
-    cfg = load_config(args.config, "train-student")
-    seeds = _run_seeds(args, cfg)
+    run = load_config(args.config, "train-student")
+    seeds = _run_seeds(args, run)
 
     baseline = getattr(args, "baseline", False)
     if baseline:
-        hp = _build_hyper(cfg, student=False)
+        hp = run.hyper
     else:
         if args.bundle is None:
             raise ConfigError("train-student requires --bundle (or --baseline)")
         bundle = load_bundle(args.bundle)
         if bundle.input_dim != OBS_DIM:
             raise ConfigError("bundle observation size does not match the environment")
-        hp = _apply_ablations(_build_hyper(cfg, student=True), args.ablate)
-        switch = SwitchConfig(**cfg.get("switch", {}))
-    out = _start_outputs(args, cfg)
+        hp = _apply_ablations(run.s2cd, args.ablate)
+    out = _start_outputs(args, run)
 
     for seed in seeds:
         run_dir = out / f"seed_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
-        env = HighwayEnv(_build_sim_config(cfg, seed=seed),
-                         RewardConfig(**cfg.get("reward", {})), master_seed=seed)
+        env = HighwayEnv(run.sim, run.reward, master_seed=seed)
+        eval_env = HighwayEnv(run.sim, run.reward, master_seed=EVAL_SEED_OFFSET + seed)
         if baseline:
             result = train_ppo(env, hp, seed=seed)
             rows = [m.row() for m in result.metrics]
             columns = PPO_COLUMNS
-            eval_env = _eval_env_factory(cfg, seed)
-            summary = evaluate_actor(eval_env, result.actor, cfg["eval_episodes"])
+            summary = evaluate_actor(eval_env, result.actor, run.eval_episodes)
             manifest = {"kind": "ppo_baseline", "seed": seed,
                         "total_steps": hp.total_steps,
                         "eval_success": summary["success_rate"]}
         else:
-            result = train_s2cd(env, bundle, hp, switch, seed=seed)
+            result = train_s2cd(env, bundle, hp, run.switch, seed=seed)
             rows = [m.row() for m in result.metrics]
             columns = S2CD_COLUMNS
-            eval_env = TeacherAugmentedEnv(_eval_env_factory(cfg, seed), bundle)
-            summary = evaluate_actor(eval_env, result.actor, cfg["eval_episodes"])
+            summary = evaluate_actor(TeacherAugmentedEnv(eval_env, bundle), result.actor,
+                                     run.eval_episodes)
             manifest = {"kind": "s2cd_student", "seed": seed,
                         "total_steps": hp.total_steps,
                         "ablations": args.ablate or "",
@@ -276,8 +272,8 @@ def cmd_train_student(args) -> int:
             save_bundle(bundle, run_dir / "bundle")
         save_net(result.actor, run_dir / "actor.json")
         save_net(result.critic, run_dir / "critic.json")
-        (run_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
-        _write_metrics_csv(run_dir / "metrics.csv", rows, columns)
+        write_atomic(run_dir / "manifest.json", json.dumps(manifest, sort_keys=True))
+        _write_csv(run_dir / "metrics.csv", rows, columns)
         print(f"student seed={seed} kind={manifest['kind']} "
               f"eval_success={summary['success_rate']:.2f}%")
     return 0
@@ -295,23 +291,23 @@ def _load_checkpoint(path: Path):
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config, "evaluate")
+    run = load_config(args.config, "evaluate")
     kind, actor, bundle, manifest = _load_checkpoint(Path(args.checkpoint))
     if bundle is not None and bundle.input_dim != OBS_DIM:
         raise ConfigError("checkpoint bundle does not match the eval environment")
     if bundle is None and actor.spec.input_dim != OBS_DIM:
         raise ConfigError("checkpoint observation size does not match the environment")
-    out = _start_outputs(args, cfg)
+    out = _start_outputs(args, run)
 
     per_seed = []
     episodes = []
-    for seed in cfg["seeds"]:
-        env = _eval_env_factory(cfg, seed)
+    for seed in run.seeds:
+        env = HighwayEnv(run.sim, run.reward, master_seed=EVAL_SEED_OFFSET + seed)
         if bundle is not None:
             env = TeacherAugmentedEnv(env, bundle)
-        summary = evaluate_actor(env, actor, episodes=cfg["eval_episodes"])
+        summary = evaluate_actor(env, actor, episodes=run.eval_episodes)
         for i, ep in enumerate(summary.pop("episodes")):
-            episodes.append({"seed": seed, "episode": i, **ep})
+            episodes.append({"seed": seed, "episode": i, **ep, "success": int(ep["success"])})
         per_seed.append({"seed": seed, **summary})
 
     agg = {
@@ -323,26 +319,21 @@ def cmd_evaluate(args) -> int:
         "success_rate": float(np.mean([r["success_rate"] for r in per_seed])),
         "per_seed": per_seed,
     }
-    (out / "eval_summary.json").write_text(json.dumps(agg, sort_keys=True, indent=2))
-    with (out / "episodes.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "episode", "return", "reward", "cost", "speed", "success"])
-        for ep in episodes:
-            writer.writerow([ep["seed"], ep["episode"], repr(ep["return"]),
-                             repr(ep["reward"]), repr(ep["cost"]), repr(ep["speed"]),
-                             int(ep["success"])])
+    write_atomic(out / "eval_summary.json", json.dumps(agg, sort_keys=True, indent=2))
+    _write_csv(out / "episodes.csv", episodes,
+               ["seed", "episode", "return", "reward", "cost", "speed", "success"])
     print(f"evaluate kind={kind} success_rate={agg['success_rate']:.2f}% "
           f"return={agg['episodic_return']:.2f}")
     return 0
 
 
 def cmd_theory(args) -> int:
-    cfg = load_config(args.config, "theory")
-    out = _start_outputs(args, cfg)
-    t = cfg["theory"]
-    rows, all_pass = run_sweep(n_instances=t["instances"], seed=t["seed"],
-                               max_states=t["max_states"], max_actions=t["max_actions"],
-                               tolerance=t["tolerance"])
+    run = load_config(args.config, "theory")
+    out = _start_outputs(args, run)
+    t = run.theory
+    rows, all_pass = run_sweep(n_instances=t.instances, seed=t.seed,
+                               max_states=t.max_states, max_actions=t.max_actions,
+                               tolerance=t.tolerance)
     report = {
         "instances": len(rows),
         "all_pass": all_pass,
@@ -350,7 +341,7 @@ def cmd_theory(args) -> int:
         "min_slack": min(r["slack"] for r in rows),
         "results": rows,
     }
-    (out / "theory_report.json").write_text(json.dumps(report, sort_keys=True, indent=2))
+    write_atomic(out / "theory_report.json", json.dumps(report, sort_keys=True, indent=2))
     print(f"theory instances={len(rows)} all_pass={all_pass} "
           f"min_margin={report['min_improvement_margin']:.3e} "
           f"min_slack={report['min_slack']:.3e}")

@@ -90,16 +90,18 @@ MAX_DECISION_STEPS = {Fidelity.SIMPLE: 600, Fidelity.COMPLEX: 4000}
 # World.vehicles is kept sorted by this key after every substep.
 _LANE_ORDER = attrgetter("lane_index", "longitudinal_pos")
 
-# Accepted types of annotated numeric config fields; bools are refused.
-_NUMBER_KINDS = {"int": numbers.Integral, "float": numbers.Real, "float | None": numbers.Real}
+# Accepted types of annotated config fields: bools only in bool fields.
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "float | None": numbers.Real,
+                "bool": bool}
 
 
 def check_number_fields(config) -> None:
-    """Raise ValueError when a numeric dataclass field holds a non-number,
-    or a float field holds NaN, an infinity or an int beyond float range."""
+    """Raise ValueError when a numeric or bool dataclass field holds another
+    type, or a float field holds NaN, an infinity or an int beyond float range."""
     for f in fields(config):
-        kind, value = _NUMBER_KINDS.get(f.type), getattr(config, f.name)
-        if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+        kind, value = _FIELD_KINDS.get(f.type), getattr(config, f.name)
+        if kind is not None and (isinstance(value, bool) != (kind is bool)
+                                 or not isinstance(value, kind)):
             raise ValueError(f"{f.name} must be of type {f.type}")
         if kind is numbers.Real and not abs(value) <= sys.float_info.max:
             raise ValueError(f"{f.name} must be finite")
@@ -149,10 +151,6 @@ class SimConfig:
     @property
     def substeps_per_decision(self) -> int:
         return int(round(1.0 / (self.decisions_per_second * self.sim_dt)))
-
-    @property
-    def decision_dt(self) -> float:
-        return 1.0 / self.decisions_per_second
 
     def lane_center(self, lane: int) -> float:
         return (lane + 0.5) * self.lane_width

@@ -8,7 +8,7 @@ term minus a piecewise-linear proximity/collision cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -166,9 +166,8 @@ class HighwayEnv:
 
     def reset(self) -> np.ndarray:
         self.episode_index += 1
-        cfg_kwargs = vars(self.config).copy()
-        cfg_kwargs["seed"] = self._scenario_seed(self.episode_index)
-        self.world = spawn_scenario(SimConfig(**cfg_kwargs))
+        self.world = spawn_scenario(replace(self.config,
+                                            seed=self._scenario_seed(self.episode_index)))
         self.last_events = None
         return self._observe()
 

@@ -392,8 +392,7 @@ class S2cdPhaseMetrics(PhaseMetrics):
 
 
 def train_s2cd(complex_env: HighwayEnv, bundle: TeacherBundle, hp: S2cdHyper,
-               switch_cfg: SwitchConfig, seed: int,
-               phase_callback=None) -> TrainResult:
+               switch_cfg: SwitchConfig, seed: int) -> TrainResult:
     """Teacher-gated training loop: alternating dual collection phases and
     minibatched adaptive-clip updates. The loss uses the tau snapshot taken
     at phase start so updates stay deterministic; the switch refreshes tau
@@ -428,17 +427,14 @@ def train_s2cd(complex_env: HighwayEnv, bundle: TeacherBundle, hp: S2cdHyper,
         mean_ret, mean_cost, mean_speed, collisions = tracker.phase_summary()
         total_rows = stats.steps + stats.synthetic_rows
         teacher_rows = stats.interventions + stats.synthetic_rows
-        row = S2cdPhaseMetrics(
+        metrics.append(S2cdPhaseMetrics(
             step=(phase + 1) * hp.rollout_steps, mean_return=mean_ret,
             mean_cost=mean_cost, mean_speed=mean_speed, collisions=collisions,
             entropy=stats.mean_entropy, kl=kl_update,
             intervention_rate=stats.intervention_rate, tau=tau_phase,
             mean_kl=stats.mean_kl,
             teacher_sample_fraction=teacher_rows / total_rows if total_rows else 0.0,
-        )
-        metrics.append(row)
-        if phase_callback is not None:
-            phase_callback(row)
+        ))
 
     if bundle.checksum() != frozen:
         raise RuntimeError("teacher bundle was mutated during student training")

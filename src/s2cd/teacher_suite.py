@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ from .tensor_nn import (
     adamw_step,
     load_net,
     save_net,
+    write_atomic,
 )
 
 QUALITY_TAGS = ("high", "low", "complex")
@@ -191,8 +192,7 @@ def teacher_hyper(hp: HyperParams, quality: str) -> HyperParams:
     collection phases give fewer rows than the head fit needs."""
     if quality not in QUALITY_TAGS:
         raise ValueError(f"quality must be one of {QUALITY_TAGS}")
-    hp = HyperParams(**{**vars(hp),
-                        "total_steps": int(hp.total_steps * QUALITY_BUDGET_SCALE[quality])})
+    hp = replace(hp, total_steps=int(hp.total_steps * QUALITY_BUDGET_SCALE[quality]))
     rows = max(1, hp.total_steps // hp.rollout_steps) * hp.rollout_steps
     if rows < MIN_FIT_ROWS:
         raise ValueError(f"total_steps gives a {quality} teacher {rows} rows; "
@@ -200,8 +200,8 @@ def teacher_hyper(hp: HyperParams, quality: str) -> HyperParams:
     return hp
 
 
-def train_teacher(simple_env, hp: HyperParams, quality: str, seed: int,
-                  phase_callback=None) -> tuple[TeacherBundle, TrainResult]:
+def train_teacher(simple_env, hp: HyperParams, quality: str,
+                  seed: int) -> tuple[TeacherBundle, TrainResult]:
     """Full teacher pipeline on the simple-fidelity world.
 
     Runs PPO while accumulating supervised rows per step, refits the two
@@ -229,8 +229,6 @@ def train_teacher(simple_env, hp: HyperParams, quality: str, seed: int,
                 rows, return_net=nets["return"], qvalue_net=nets["q"],
                 seed=fit_seed, epochs=1)
             fit_seed += 1
-        if phase_callback is not None:
-            phase_callback(row)
 
     result = train_ppo(simple_env, hp, seed, transition_hook=hook,
                        phase_callback=on_phase)
@@ -262,7 +260,7 @@ def save_bundle(bundle: TeacherBundle, directory: str | Path) -> None:
     for name in BUNDLE_NETS:
         save_net(getattr(bundle, name), directory / f"{name}.json")
     manifest = {"quality_tag": bundle.quality_tag, **bundle.meta}
-    (directory / "manifest.json").write_text(json.dumps(manifest, sort_keys=True))
+    write_atomic(directory / "manifest.json", json.dumps(manifest, sort_keys=True))
 
 
 def load_bundle(directory: str | Path) -> TeacherBundle:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -270,7 +271,19 @@ def save_net(net: DenseNet, path: str | Path) -> None:
         },
         "params": net.params.tolist(),
     }
-    Path(path).write_text(json.dumps(payload))
+    write_atomic(path, json.dumps(payload))
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``<path>.tmp``, then rename it over ``path``, so an
+    interrupted process leaves the old file or none, never a partial one."""
+    tmp = Path(f"{path}.tmp")
+    try:
+        tmp.write_text(text, newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_net(path: str | Path) -> DenseNet:

@@ -130,6 +130,8 @@ class TestErrorReporting:
         ("reward", "alpha1", float("nan")), ("switch", "q2", float("-inf")),
         ("sim", "speed_limit", 10**400),
         ("hyper", "total_steps", 500),
+        ("s2cd", "dual_source", "false"), ("hyper", "lr_decay", "no"),
+        ("s2cd", "sample_actions", 0), ("sim", "seed", "x"),
     ])
     def test_malformed_numbers_rejected_before_outputs(self, tmp_path, capsys,
                                                        section, key, value):
@@ -141,7 +143,8 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert "config error" in err and key in err
 
-    @pytest.mark.parametrize("seeds,argv", [([-1], []), ([True], []), ([1], ["--seed", "-1"])])
+    @pytest.mark.parametrize("seeds,argv", [([-1], []), ([True], []), ([1], ["--seed", "-1"]),
+                                            (5, [])])
     def test_bad_seeds_rejected_before_outputs(self, tmp_path, capsys, seeds, argv):
         cfg = write_config(tmp_path, "bad.json", {**MICRO_TEACHER, "seeds": seeds})
         out = tmp_path / "out"
@@ -149,6 +152,19 @@ class TestErrorReporting:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "config error" in err and "seed" in err
+
+    @pytest.mark.parametrize("command,payload", [
+        ("train-teacher", {**MICRO_TEACHER, "sim": 5}),
+        ("train-teacher", {**MICRO_TEACHER, "hyper": None}),
+        ("theory", {"theory": [1]}),
+    ])
+    def test_non_object_sections_rejected_before_outputs(self, tmp_path, capsys,
+                                                         command, payload):
+        cfg = write_config(tmp_path, "bad.json", payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "must be a JSON object" in capsys.readouterr().err
 
     def test_student_config_errors_write_nothing(self, tmp_path, teacher_dir):
         cfg = write_config(tmp_path, "student.json", MICRO_STUDENT)

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -270,6 +272,22 @@ class TestAdamW:
 
 
 class TestCheckpoint:
+    @pytest.mark.parametrize("old", [None, b"old checkpoint"])
+    def test_interrupted_save_keeps_old_bytes_and_no_temp_file(self, tmp_path, monkeypatch,
+                                                               old):
+        path = tmp_path / "net.json"
+        if old is not None:
+            path.write_bytes(old)
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+        monkeypatch.setattr(os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            save_net(DenseNet.create(NetSpec(3, 1), np.random.default_rng(0)), path)
+        assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["net.json"])
+        if old is not None:
+            assert path.read_bytes() == old
+
     def test_roundtrip_bit_exact(self, tmp_path):
         spec = NetSpec(11, 3, head=Head.SOFTMAX_POLICY)
         net = DenseNet.create(spec, np.random.default_rng(42))
