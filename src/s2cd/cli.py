@@ -108,8 +108,7 @@ class RunConfig:
     eval_episodes: int
 
 
-TOP_KEYS = {"sim", "reward", "hyper", "s2cd", "switch", "quality", "seeds",
-            "eval_episodes", "theory"}
+TOP_KEYS = {f.name for f in dataclass_fields(RunConfig)} - {"snapshot"}
 
 
 def _section(cfg: dict, name: str, cls, skip=()) -> dict:
