@@ -132,7 +132,10 @@ def _section(cfg: dict, name: str, cls, skip=()) -> dict:
 def load_config(path: str | None, command: str) -> RunConfig:
     cfg = default_config(command)
     if path is not None:
-        raw = json.loads(Path(path).read_text())
+        try:
+            raw = json.loads(Path(path).read_text())
+        except OSError as exc:  # missing, a directory, unreadable, ...
+            raise ConfigError(f"cannot read config: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         cfg.update(raw)

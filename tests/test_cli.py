@@ -181,6 +181,16 @@ class TestErrorReporting:
                      "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["directory", "missing"])
+    def test_unreadable_config_rejected_before_outputs(self, tmp_path, capsys, kind):
+        cfg = tmp_path / "cfg"
+        if kind == "directory":
+            cfg.mkdir()
+        out = tmp_path / "out"
+        assert main(["theory", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: cannot read config" in capsys.readouterr().err
+
 
 class TestTheoryCommand:
     def test_report_written_and_reproducible(self, tmp_path):

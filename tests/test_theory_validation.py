@@ -40,12 +40,12 @@ class TestExactPolicyValue:
         mdp = random_mdp(rng, max_states=6)
         mdp.rewards[:] = 0.0
         policy = random_policy(rng, mdp.n_states, mdp.n_actions)
-        assert np.allclose(exact_policy_value(mdp, policy), 0.0, atol=1e-12)
+        assert np.allclose(exact_policy_value([mdp], [policy])[0], 0.0, atol=1e-12)
 
     def test_single_state_geometric_series(self):
         mdp = single_state_mdp(reward=1.0, gamma=0.96)
         policy = np.array([[0.5, 0.5]])
-        v = exact_policy_value(mdp, policy)
+        v = exact_policy_value([mdp], [policy])[0]
         assert v[0] == pytest.approx(25.0, abs=1e-9)
 
     def test_matches_direct_linear_solve(self):
@@ -53,13 +53,13 @@ class TestExactPolicyValue:
         for _ in range(20):
             mdp = random_mdp(rng, max_states=8)
             policy = random_policy(rng, mdp.n_states, mdp.n_actions)
-            v = exact_policy_value(mdp, policy)
+            v = exact_policy_value([mdp], [policy])[0]
             assert np.allclose(v, linear_solve_value(mdp, policy), atol=1e-10)
 
     def test_rejects_nonstochastic_policy(self):
         mdp = single_state_mdp()
         with pytest.raises(ValueError):
-            exact_policy_value(mdp, np.array([[0.7, 0.7]]))
+            exact_policy_value([mdp], [np.array([[0.7, 0.7]])])
 
     def test_rejects_bad_mdp(self):
         with pytest.raises(ValueError):
@@ -85,7 +85,7 @@ class TestNonFiniteInputs:
         monkeypatch.setattr(theory_validation, "MAX_VALUE_ITERATIONS", 50)
         mdp = single_state_mdp(gamma=0.99)
         with pytest.raises(RuntimeError):
-            exact_policy_value(mdp, np.array([[1.0, 0.0]]))
+            exact_policy_value([mdp], [np.array([[1.0, 0.0]])])
         with pytest.raises(RuntimeError):
             optimal_policy(mdp)
 
@@ -94,7 +94,7 @@ class TestNonFiniteInputs:
         mdp = single_state_mdp()
         mdp.rewards[0, 0] = np.nan
         with pytest.raises(RuntimeError):
-            exact_policy_value(mdp, np.array([[1.0, 0.0]]))
+            exact_policy_value([mdp], [np.array([[1.0, 0.0]])])
 
 
 BLOCK = theory_validation._SWEEP_BLOCK
@@ -146,7 +146,7 @@ class TestBlockedSweepsMatchSweepBySweep:
             mdp = mdp_with_states(rng, n_states, gamma)
             policy = random_policy(rng, n_states, mdp.n_actions, deterministic=n % 2 == 1)
             expected, _ = sweep_by_sweep_value(mdp, policy)
-            assert exact_policy_value(mdp, policy).tobytes() == expected.tobytes()
+            assert exact_policy_value([mdp], [policy])[0].tobytes() == expected.tobytes()
             if n % 3 == 0:
                 expected, _ = sweep_by_sweep_optimal(mdp)
                 assert optimal_policy(mdp).tobytes() == expected.tobytes()
@@ -184,15 +184,69 @@ class TestBlockedSweepsMatchSweepBySweep:
     @pytest.mark.parametrize("reference,run,message", [
         (sweep_by_sweep_value, exact_policy_value, "policy evaluation"),
         (lambda mdp, policy: sweep_by_sweep_optimal(mdp),
-         lambda mdp, policy: optimal_policy(mdp), "value iteration"),
+         lambda mdps, policies: [optimal_policy(mdp) for mdp in mdps], "value iteration"),
     ], ids=["policy_evaluation", "value_iteration"])
     def test_cap_boundary(self, monkeypatch, offset, reference, run, message):
         mdp, policy, expected, k = self.converging_at(offset, reference)
         monkeypatch.setattr(theory_validation, "MAX_VALUE_ITERATIONS", k + 1)
-        assert run(mdp, policy).tobytes() == expected.tobytes()
+        assert run([mdp], [policy])[0].tobytes() == expected.tobytes()
         monkeypatch.setattr(theory_validation, "MAX_VALUE_ITERATIONS", k)
         with pytest.raises(RuntimeError, match=f"{message} did not converge in {k} sweeps"):
-            run(mdp, policy)
+            run([mdp], [policy])
+
+        # the slow member in the middle of a stack of faster ones with the
+        # same state count: they converge first and keep their bits
+        rng = np.random.default_rng(19)
+        fast = [mdp_with_states(rng, mdp.n_states, float(rng.uniform(0.0, 0.3)))
+                for _ in range(2)]
+        mdps = [fast[0], mdp, fast[1]]
+        policies = [random_policy(rng, m.n_states, m.n_actions) for m in mdps]
+        policies[1] = policy
+        references = [reference(m, pi) for m, pi in zip(mdps, policies)]
+        assert all(k_fast < k for _, k_fast in references[::2])
+        monkeypatch.setattr(theory_validation, "MAX_VALUE_ITERATIONS", k + 1)
+        assert ([v.tobytes() for v in run(mdps, policies)]
+                == [v.tobytes() for v, _ in references])
+        monkeypatch.setattr(theory_validation, "MAX_VALUE_ITERATIONS", k)
+        with pytest.raises(RuntimeError, match=f"{message} did not converge in {k} sweeps"):
+            run(mdps, policies)
+
+
+class TestStackedEvaluation:
+    def test_stack_equals_one_at_a_time(self):
+        # mixed state counts, so a call holds several stacks of unequal size
+        rng = np.random.default_rng(20)
+        for _ in range(25):
+            mdps, policies = [], []
+            for _ in range(int(rng.integers(1, 40))):
+                gamma = 0.95 if rng.random() < 0.2 else float(rng.uniform(0.0, 0.95))
+                mdp = mdp_with_states(rng, int(rng.integers(1, 31)), gamma)
+                mdps.append(mdp)
+                policies.append(random_policy(rng, mdp.n_states, mdp.n_actions,
+                                              deterministic=bool(rng.random() < 0.5)))
+            stacked = exact_policy_value(mdps, policies)
+            for mdp, policy, v in zip(mdps, policies, stacked):
+                assert v.tobytes() == exact_policy_value([mdp], [policy])[0].tobytes()
+                assert v.tobytes() == sweep_by_sweep_value(mdp, policy)[0].tobytes()
+
+    def test_stacked_matmul_matches_single_gemv(self):
+        # the stack relies on numpy running (K, S, S) @ (K, S, 1) as one gemv
+        # per member with the bits of a 2-D (S, S) @ (S,); a numpy or BLAS
+        # change that breaks this fails here by name
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            k, s = int(rng.integers(1, 41)), int(rng.integers(1, 31))
+            p = rng.dirichlet(np.ones(s), size=(k, s))
+            v = rng.uniform(-20.0, 20.0, size=(k, s, 1))
+            out = np.empty((k, s, 1))
+            np.matmul(p, v, out)
+            for i in range(k):
+                assert out[i, :, 0].tobytes() == (p[i] @ v[i, :, 0]).tobytes()
+
+    def test_rejects_mismatched_lengths(self):
+        mdp = single_state_mdp()
+        with pytest.raises(ValueError):
+            exact_policy_value([mdp, mdp], [np.array([[1.0, 0.0]])])
 
 
 class TestDiscountedVisitation:
@@ -226,7 +280,7 @@ class TestBuildMixedPolicy:
         rng = np.random.default_rng(4)
         mdp = random_mdp(rng)
         policy = random_policy(rng, mdp.n_states, mdp.n_actions)
-        result = build_mixed_policy(policy, policy, mdp, tolerance=0.0)
+        result = build_mixed_policy([policy], [policy], [mdp], tolerance=0.0)[0]
         assert result.omega == 0.0
         assert not result.intervened.any()
         assert np.array_equal(result.mixed, policy)
@@ -236,7 +290,7 @@ class TestBuildMixedPolicy:
         mdp = random_mdp(rng)
         teacher = random_policy(rng, mdp.n_states, mdp.n_actions)
         student = random_policy(rng, mdp.n_states, mdp.n_actions)
-        result = build_mixed_policy(teacher, student, mdp, tolerance=-np.inf)
+        result = build_mixed_policy([teacher], [student], [mdp], tolerance=-np.inf)[0]
         assert result.intervened.all()
         assert result.omega == pytest.approx(1.0, abs=1e-10)
         assert np.array_equal(result.mixed, teacher)
@@ -247,7 +301,7 @@ class TestBuildMixedPolicy:
             mdp = random_mdp(rng, max_states=10)
             teacher = random_policy(rng, mdp.n_states, mdp.n_actions)
             student = random_policy(rng, mdp.n_states, mdp.n_actions)
-            result = build_mixed_policy(teacher, student, mdp, tolerance=0.0)
+            result = build_mixed_policy([teacher], [student], [mdp], tolerance=0.0)[0]
             assert 0.0 <= result.omega <= 1.0
             assert np.allclose(result.mixed.sum(axis=1), 1.0, atol=1e-12)
 
@@ -257,7 +311,7 @@ class TestImprovementGuarantee:
         rng = np.random.default_rng(7)
         mdp = random_mdp(rng)
         policy = random_policy(rng, mdp.n_states, mdp.n_actions)
-        report = check_mixed_policy_improvement(mdp, policy, policy)
+        report = check_mixed_policy_improvement([mdp], [policy], [policy])[0]
         assert report.margin == 0.0
 
     def test_uniform_student_optimal_teacher_sweep(self):
@@ -266,7 +320,7 @@ class TestImprovementGuarantee:
             mdp = random_mdp(rng, max_states=10)
             teacher = optimal_policy(mdp)
             student = np.full((mdp.n_states, mdp.n_actions), 1.0 / mdp.n_actions)
-            report = check_mixed_policy_improvement(mdp, teacher, student)
+            report = check_mixed_policy_improvement([mdp], [teacher], [student])[0]
             assert report.margin >= -1e-9
 
     def test_random_pairs_margin_nonnegative(self):
@@ -275,14 +329,14 @@ class TestImprovementGuarantee:
             mdp = random_mdp(rng, max_states=12)
             teacher = random_policy(rng, mdp.n_states, mdp.n_actions)
             student = random_policy(rng, mdp.n_states, mdp.n_actions)
-            report = check_mixed_policy_improvement(mdp, teacher, student)
+            report = check_mixed_policy_improvement([mdp], [teacher], [student])[0]
             assert report.margin >= -1e-9
             assert report.pointwise_min_margin >= -1e-9
 
     def test_single_state_margin_zero(self):
         mdp = single_state_mdp()
-        report = check_mixed_policy_improvement(mdp, np.array([[1.0, 0.0]]),
-                                                np.array([[0.0, 1.0]]))
+        report = check_mixed_policy_improvement([mdp], [np.array([[1.0, 0.0]])],
+                                                [np.array([[0.0, 1.0]])])[0]
         assert report.margin == pytest.approx(0.0, abs=1e-9)
 
     def test_horizon_zero_base_case_maximizes_immediate_reward(self):
@@ -295,7 +349,7 @@ class TestImprovementGuarantee:
                              gamma=0.0, initial_dist=mdp.initial_dist)
             teacher = greedy_projection(random_policy(rng, mdp.n_states, mdp.n_actions))
             student = greedy_projection(random_policy(rng, mdp.n_states, mdp.n_actions))
-            result = build_mixed_policy(teacher, student, mdp, tolerance=0.0)
+            result = build_mixed_policy([teacher], [student], [mdp], tolerance=0.0)[0]
             states = np.arange(mdp.n_states)
             r_mixed = mdp.rewards[states, np.argmax(result.mixed, axis=1)]
             r_teacher = mdp.rewards[states, np.argmax(teacher, axis=1)]
@@ -308,7 +362,7 @@ class TestPerformanceBound:
         rng = np.random.default_rng(11)
         mdp = random_mdp(rng)
         policy = random_policy(rng, mdp.n_states, mdp.n_actions)
-        report = check_performance_bound(mdp, policy, policy)
+        report = check_performance_bound([mdp], [policy], [policy])[0]
         assert report.lhs == pytest.approx(0.0, abs=1e-9)
         assert report.rhs == pytest.approx(0.0, abs=1e-9)
 
@@ -317,7 +371,7 @@ class TestPerformanceBound:
         mdp = random_mdp(rng)
         teacher = random_policy(rng, mdp.n_states, mdp.n_actions)
         student = random_policy(rng, mdp.n_states, mdp.n_actions)
-        report = check_performance_bound(mdp, teacher, student, tolerance=-np.inf)
+        report = check_performance_bound([mdp], [teacher], [student], tolerance=-np.inf)[0]
         assert report.omega == pytest.approx(1.0, abs=1e-10)
         assert report.lhs == pytest.approx(0.0, abs=1e-9)
         assert report.rhs == pytest.approx(0.0, abs=1e-9)
@@ -328,7 +382,7 @@ class TestPerformanceBound:
             mdp = random_mdp(rng, max_states=12)
             teacher = random_policy(rng, mdp.n_states, mdp.n_actions)
             student = random_policy(rng, mdp.n_states, mdp.n_actions)
-            report = check_performance_bound(mdp, teacher, student)
+            report = check_performance_bound([mdp], [teacher], [student])[0]
             assert report.slack >= 0.0
             assert abs(report.visitation_mass - 1.0) < 1e-10
 
@@ -341,7 +395,7 @@ class TestPerformanceBound:
             teacher = random_policy(rng, mdp.n_states, mdp.n_actions)
             student = random_policy(rng, mdp.n_states, mdp.n_actions)
             return [check_performance_bound(
-                mdp, teacher, (1.0 - lam) * student + lam * teacher).slack
+                [mdp], [teacher], [(1.0 - lam) * student + lam * teacher])[0].slack
                 for lam in (0.0, 0.5, 0.9, 0.999)]
 
         monotone = slacks_for(14)
@@ -355,7 +409,7 @@ class TestPerformanceBound:
         mdp = random_mdp(rng, max_states=6)
         teacher = random_policy(rng, mdp.n_states, mdp.n_actions)
         student = random_policy(rng, mdp.n_states, mdp.n_actions)
-        report = check_performance_bound(mdp, teacher, student)
+        report = check_performance_bound([mdp], [teacher], [student])[0]
         assert np.isfinite(report.kappa)
         assert report.kappa <= report.avg_teacher_entropy + 1e-12
 
@@ -375,12 +429,22 @@ class TestRunSweep:
         calls = []
         original = theory_validation.exact_policy_value
 
-        def counting(mdp, policy):
-            calls.append(1)
-            return original(mdp, policy)
+        def counting(mdps, policies):
+            calls.append(len(policies))
+            return original(mdps, policies)
         monkeypatch.setattr(theory_validation, "exact_policy_value", counting)
-        run_sweep(n_instances=5, seed=2)
-        assert len(calls) == 4 * 5
+        for chunk, n_instances in [(theory_validation._SWEEP_CHUNK, 5), (3, 3), (3, 7)]:
+            monkeypatch.setattr(theory_validation, "_SWEEP_CHUNK", chunk)
+            calls.clear()
+            run_sweep(n_instances=n_instances, seed=2)
+            assert sum(calls) == 4 * n_instances
+            assert len(calls) == 4 * -(-n_instances // chunk)
+
+    def test_rows_do_not_depend_on_the_chunk(self, monkeypatch):
+        expected = run_sweep(n_instances=9, seed=6, max_states=6)
+        for chunk in (1, 4, 9):
+            monkeypatch.setattr(theory_validation, "_SWEEP_CHUNK", chunk)
+            assert run_sweep(n_instances=9, seed=6, max_states=6) == expected
 
     def test_single_state_sweep(self):
         # with one state the mixed value is exactly the better of the two
@@ -392,7 +456,7 @@ class TestRunSweep:
             mdp = random_mdp(rng, max_states=1)
             teacher = random_policy(rng, 1, mdp.n_actions)
             student = random_policy(rng, 1, mdp.n_actions)
-            report = check_mixed_policy_improvement(mdp, teacher, student)
+            report = check_mixed_policy_improvement([mdp], [teacher], [student])[0]
             a_t = int(np.argmax(teacher[0]))
             a_s = int(np.argmax(student[0]))
             v = mdp.rewards[0] / (1.0 - mdp.gamma)
