@@ -100,7 +100,7 @@ class RunConfig:
     sim: SimConfig
     reward: RewardConfig
     hyper: HyperParams
-    s2cd: S2cdHyper | None
+    s2cd: S2cdHyper
     switch: SwitchConfig
     theory: TheoryConfig | None
     quality: str
@@ -158,9 +158,7 @@ def load_config(path: str | None, command: str) -> RunConfig:
         sim=SimConfig(**_section(cfg, "sim", SimConfig, skip=("seed",))),
         reward=RewardConfig(**_section(cfg, "reward", RewardConfig)),
         hyper=HyperParams(**hyper),
-        # built only on request: the default psi would refuse a small clip_eps
-        s2cd=S2cdHyper(**hyper, **_section(cfg, "s2cd", S2cdHyper, skip=hyper_keys))
-        if "s2cd" in cfg else None,
+        s2cd=S2cdHyper(**hyper, **_section(cfg, "s2cd", S2cdHyper, skip=hyper_keys)),
         switch=SwitchConfig(**_section(cfg, "switch", SwitchConfig)),
         theory=TheoryConfig(**_section(cfg, "theory", TheoryConfig))
         if "theory" in cfg else None,
@@ -246,6 +244,7 @@ def cmd_train_student(args) -> int:
         if bundle.input_dim != OBS_DIM:
             raise ConfigError("bundle observation size does not match the environment")
         hp = _apply_ablations(run.s2cd, args.ablate)
+        hp.check_clip()
     out = _start_outputs(args, run)
 
     for seed in seeds:

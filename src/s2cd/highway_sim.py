@@ -318,12 +318,13 @@ def _begin_lane_change(cfg: SimConfig, vehicle: VehicleState, target: int) -> No
 
 
 def _neighbours(vehicles: list[VehicleState], lane: int, vehicle: VehicleState):
-    """Nearest vehicle strictly ahead of ``vehicle`` in ``lane``, the bumper
-    gap to it, and the bumper gap to the nearest vehicle strictly behind,
-    by bisection of the (lane, position)-sorted list."""
+    """(lead, front gap, rear, rear gap): the nearest vehicles strictly ahead
+    of and strictly behind ``vehicle`` in ``lane`` and the bumper gaps to
+    them, by bisection of the (lane, position)-sorted list. A missing
+    neighbour is None with an infinite gap."""
     x = vehicle.longitudinal_pos
     idx = bisect.bisect_left(vehicles, (lane, x), key=_LANE_ORDER)
-    rear_gap = math.inf
+    rear, rear_gap = None, math.inf
     if idx > 0 and vehicles[idx - 1].lane_index == lane:
         rear = vehicles[idx - 1]
         rear_gap = x - rear.longitudinal_pos - (rear.length + vehicle.length) / 2.0
@@ -331,16 +332,17 @@ def _neighbours(vehicles: list[VehicleState], lane: int, vehicle: VehicleState):
     while idx < n and vehicles[idx].lane_index == lane and vehicles[idx].longitudinal_pos == x:
         idx += 1
     if idx == n or vehicles[idx].lane_index != lane:
-        return None, math.inf, rear_gap
+        return None, math.inf, rear, rear_gap
     lead = vehicles[idx]
-    return lead, lead.longitudinal_pos - x - (lead.length + vehicle.length) / 2.0, rear_gap
+    front_gap = lead.longitudinal_pos - x - (lead.length + vehicle.length) / 2.0
+    return lead, front_gap, rear, rear_gap
 
 
 def _leader_accel(cfg: SimConfig, vehicles: list[VehicleState], lane: int,
                   vehicle: VehicleState, accel: float | None) -> float | None:
     """The smaller of ``accel`` and the IDM acceleration behind the leader in
     ``lane``; None stands for no leader in sensor range."""
-    lead, gap, _ = _neighbours(vehicles, lane, vehicle)
+    lead, gap, _, _ = _neighbours(vehicles, lane, vehicle)
     if lead is None or gap > cfg.sensor_range:
         return accel
     other = idm_accel(vehicle.speed, lead.speed, max(gap, 0.1), vehicle.idm)
@@ -480,7 +482,7 @@ def _mobil_lane_choice(cfg: SimConfig, vehicles: list, vehicle: VehicleState, ac
     for candidate in (vehicle.lane_index - 1, vehicle.lane_index + 1):
         if not 0 <= candidate < cfg.lanes_count:
             continue
-        lead, front_gap, rear_gap = _neighbours(vehicles, candidate, vehicle)
+        lead, front_gap, _, rear_gap = _neighbours(vehicles, candidate, vehicle)
         if front_gap <= MOBIL_SAFETY_GAP or rear_gap <= MOBIL_SAFETY_GAP:
             continue
         # front_gap exceeds the safety gap, so the 0.1 m IDM gap floor cannot bind
@@ -523,7 +525,7 @@ def detect_collision(world: WorldState, collided: bool | None = None) -> StepEve
     if collided is None:
         collided = _ego_collides(cfg, world.vehicles, ego)
     lanes = {ego.lane_index, ego.lane_index if ego.lane_change is None else ego.lane_change.target_lane}
-    gaps = [_neighbours(world.vehicles, lane, ego)[1:] for lane in lanes]
+    gaps = [_neighbours(world.vehicles, lane, ego)[1::2] for lane in lanes]
     front = min(max(min(front for front, _ in gaps), 0.0), cfg.sensor_range)
     rear = min(max(min(rear for _, rear in gaps), 0.0), cfg.sensor_range)
     reached_goal = world.ego_distance_travelled >= cfg.episode_length

@@ -17,6 +17,7 @@ from .highway_sim import (
     SimConfig,
     StepEvents,
     WorldState,
+    _neighbours,
     check_number_fields,
     spawn_scenario,
     step as sim_step,
@@ -77,25 +78,14 @@ def build_observation(world: WorldState) -> np.ndarray:
     out = [ego.speed]
     for lane_offset, ahead in _SLOT_SPEC:
         lane = ego.lane_index + lane_offset
-        best = None
-        best_gap = math.inf
+        other, gap = None, math.inf
         if 0 <= lane < cfg.lanes_count:
-            for v in world.vehicles:
-                if v.is_ego or v.lane_index != lane:
-                    continue
-                dx = v.longitudinal_pos - ego.longitudinal_pos
-                if ahead and dx <= 0 or not ahead and dx >= 0:
-                    continue
-                gap = max(abs(dx) - (v.length + ego.length) / 2.0, 0.0)
-                if gap > cfg.sensor_range:
-                    continue
-                if best is None or gap < best_gap:
-                    best = v
-                    best_gap = gap
-        if best is None:
+            found = _neighbours(world.vehicles, lane, ego)
+            other, gap = found[:2] if ahead else found[2:]
+        if other is None or gap > cfg.sensor_range:
             out.extend((ego.speed, cfg.sensor_range))
         else:
-            out.extend((best.speed, best_gap))
+            out.extend((other.speed, max(gap, 0.0)))
     return np.array(out, dtype=np.float64)
 
 

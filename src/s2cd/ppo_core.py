@@ -1,12 +1,16 @@
 """Baseline PPO: rollout collection, GAE advantages, clipped surrogate
-loss with value and entropy terms, minibatched epoch updates. The rollout
-buffer, the update loop and the result type also serve S2CD training,
-which passes its own rows and loss.
+loss with value and entropy terms, minibatched epoch updates.
+
+``train_phases`` is the one training loop: it owns the nets, the
+optimizers, the collector state and the update schedule, and calls a
+per-phase collection function. ``train_ppo`` supplies plain PPO's; the
+teacher runs ``train_ppo`` and the S2CD student supplies its own, with
+its own rows and loss.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -214,6 +218,8 @@ def ppo_loss(batch: dict[str, np.ndarray], policy_net: DenseNet, value_net: Dens
 
 @dataclass
 class PhaseMetrics:
+    """One row of ``metrics.csv``. Plain PPO leaves the teacher fields at
+    their defaults; the CLI writes them for S2CD runs only."""
     step: int
     mean_return: float
     mean_cost: float
@@ -222,12 +228,12 @@ class PhaseMetrics:
     entropy: float
     kl: float
     intervention_rate: float = 0.0
+    tau: float = 0.0
+    mean_kl: float = 0.0
+    teacher_sample_fraction: float = 0.0
 
     def row(self) -> dict:
-        return dict(step=self.step, mean_return=self.mean_return, mean_cost=self.mean_cost,
-                    mean_speed=self.mean_speed, collisions=self.collisions,
-                    entropy=self.entropy, kl=self.kl,
-                    intervention_rate=self.intervention_rate)
+        return asdict(self)
 
 
 @dataclass
@@ -289,13 +295,24 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), "right"))
 
 
-def train_ppo(env, hp: HyperParams, seed: int, transition_hook=None,
-              phase_callback=None) -> TrainResult:
-    """Train PPO on any env exposing reset()/step()/obs_dim/ego_speed().
+@dataclass
+class CollectorState:
+    """Where collection stands between phases: the next observation, whether
+    the last step ended an episode, and how many episodes have ended."""
+    obs: np.ndarray
+    done: bool = False
+    episodes: int = 0
 
-    ``transition_hook(obs, action, reward, next_obs, done)`` observes every
-    raw transition (used by the teacher pipeline). ``phase_callback`` gets
-    each PhaseMetrics row as it is produced.
+
+def train_phases(env, hp: HyperParams, seed: int, collect, buffer: RolloutBuffer,
+                 on_phase=None) -> TrainResult:
+    """The training loop of plain PPO, the teacher and the S2CD student.
+
+    Each phase ``collect(actor, critic, rng, state, buffer, tracker)`` fills
+    the buffer with ``hp.rollout_steps`` steps and returns the phase's loss
+    function and its non-episodic ``PhaseMetrics`` fields. The loop then
+    bootstraps, finalizes the buffer, calls ``on_phase(buffer, bootstrap)``
+    when given, runs the minibatched updates and clears the buffer.
     """
     rng = np.random.default_rng(seed)
     actor = DenseNet.create(NetSpec(env.obs_dim, 3, head=Head.SOFTMAX_POLICY), rng)
@@ -303,51 +320,53 @@ def train_ppo(env, hp: HyperParams, seed: int, transition_hook=None,
     opt_actor = OptimState.for_net(actor, base_lr=hp.base_lr, lr_decay=hp.lr_decay)
     opt_critic = OptimState.for_net(critic, base_lr=hp.base_lr, lr_decay=hp.lr_decay)
 
-    buffer = RolloutBuffer()
     tracker = EpisodeTracker()
+    state = CollectorState(obs=env.reset())
     metrics: list[PhaseMetrics] = []
-    obs = env.reset()
-    done = False
     n_phases = max(1, hp.total_steps // hp.rollout_steps)
 
     for phase in range(n_phases):
         tracker.reset_phase()
+        loss_fn, fields = collect(actor, critic, rng, state, buffer, tracker)
+        bootstrap = 0.0 if state.done else critic.forward(state.obs)[0]
+        buffer.finalize(hp, bootstrap)
+        if on_phase is not None:
+            on_phase(buffer, bootstrap)
+        progress = min(phase * hp.rollout_steps / hp.total_steps, 1.0)
+        kl = _run_updates(buffer, actor, critic, opt_actor, opt_critic, hp, rng, progress,
+                          loss_fn)
+        buffer.clear()
+        metrics.append(PhaseMetrics((phase + 1) * hp.rollout_steps,
+                                    *tracker.phase_summary(), kl=kl, **fields))
+
+    return TrainResult(actor=actor, critic=critic, metrics=metrics)
+
+
+def train_ppo(env, hp: HyperParams, seed: int, on_phase=None) -> TrainResult:
+    """Train PPO on any env exposing reset()/step()/obs_dim/ego_speed().
+    ``on_phase`` is passed to ``train_phases``."""
+
+    def collect(actor, critic, rng, state, buffer, tracker):
         entropies = []
         for _ in range(hp.rollout_steps):
-            if done:
-                obs = env.reset()
-                done = False
+            if state.done:
+                state.obs = env.reset()
+                state.done = False
+            obs = state.obs
             probs, cache = actor.forward(obs)
             log_probs = actor.policy_log_probs(cache)
             action = sample_action(probs, rng)
             value, _ = critic.forward(obs)
-            next_obs, reward, events = env.step(Action(action))
-            done = events.episode_done
+            state.obs, reward, events = env.step(Action(action))
+            state.done = events.episode_done
             buffer.add(Transition(obs=obs, action=action,
                                   logprob_old=float(log_probs[action]),
-                                  reward=reward.total, value=value, done=done))
+                                  reward=reward.total, value=value, done=state.done))
             entropies.append(float(-np.add.reduce(probs * np.log(probs))))
             tracker.record(reward, events, env.ego_speed())
-            if transition_hook is not None:
-                transition_hook(obs, action, reward, next_obs, done, critic)
-            obs = next_obs
+        return ppo_loss, {"entropy": float(np.mean(entropies))}
 
-        bootstrap = 0.0 if done else critic.forward(obs)[0]
-        buffer.finalize(hp, bootstrap)
-        progress = min(phase * hp.rollout_steps / hp.total_steps, 1.0)
-        kl = _run_updates(buffer, actor, critic, opt_actor, opt_critic, hp, rng, progress)
-        buffer.clear()
-
-        mean_ret, mean_cost, mean_speed, collisions = tracker.phase_summary()
-        row = PhaseMetrics(step=(phase + 1) * hp.rollout_steps, mean_return=mean_ret,
-                           mean_cost=mean_cost, mean_speed=mean_speed,
-                           collisions=collisions, entropy=float(np.mean(entropies)),
-                           kl=kl)
-        metrics.append(row)
-        if phase_callback is not None:
-            phase_callback(row)
-
-    return TrainResult(actor=actor, critic=critic, metrics=metrics)
+    return train_phases(env, hp, seed, collect, RolloutBuffer(), on_phase)
 
 
 def _run_updates(buffer: RolloutBuffer, actor: DenseNet, critic: DenseNet,

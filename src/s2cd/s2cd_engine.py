@@ -9,11 +9,12 @@ weaning coefficient tau shrinks the switch threshold slack, the clip
 asymmetry and the KL weight together, so the objective falls back to plain
 PPO as training progresses.
 
-The rollout rows, buffer, update loop and result type are PPO's from
+The rollout rows, buffer, training loop and result type are PPO's from
 ``ppo_core``: ``DualTransition`` adds a row's origin, teacher probabilities
 and clip modulation to ``Transition``, ``DualRolloutBuffer`` only adds
-those columns to the batch, and ``train_s2cd`` runs ``ppo_core``'s update
-loop with ``s2cd_loss`` at the phase's tau.
+those columns to the batch, and ``train_s2cd`` runs ``train_phases`` with
+``collect_dual`` as the collection and ``s2cd_loss`` at the phase's tau as
+the loss.
 """
 from __future__ import annotations
 
@@ -30,23 +31,17 @@ from .mdp_interface import HighwayEnv
 # compute_gae and adamw_step are not called here, but benchmarks/tracer.py
 # wraps this module's binding of each and cannot install without them.
 from .ppo_core import (
+    CollectorState,
     EpisodeTracker,
     HyperParams,
-    PhaseMetrics,
     RolloutBuffer,
     TrainResult,
     Transition,
-    _run_updates,
     compute_gae,
     sample_action,
+    train_phases,
 )
-from .tensor_nn import (
-    DenseNet,
-    Head,
-    NetSpec,
-    OptimState,
-    adamw_step,
-)
+from .tensor_nn import DenseNet, adamw_step
 from .teacher_suite import Advice, TeacherBundle, teacher_advise
 
 
@@ -79,10 +74,17 @@ class S2cdHyper(HyperParams):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0.0 <= self.psi <= self.clip_eps:
-            raise ValueError("psi must lie in [0, clip_eps]")
+        if self.psi < 0:
+            raise ValueError("psi must be nonnegative")
         if self.xi < 0:
             raise ValueError("xi must be nonnegative")
+
+    def check_clip(self) -> None:
+        """Only the gated student needs psi <= clip_eps, which keeps every
+        clip interval of ``s2cd_loss`` non-degenerate; a run that never
+        builds that loss may set clip_eps below the default psi."""
+        if self.psi > self.clip_eps:
+            raise ValueError("psi must lie in [0, clip_eps]")
 
 
 def decay_tau(n_episodes: int, cfg: SwitchConfig, enabled: bool = True) -> float:
@@ -290,13 +292,6 @@ class TeacherAugmentedEnv:
 
 
 @dataclass
-class CollectorState:
-    obs: np.ndarray
-    done: bool = False
-    episodes: int = 0
-
-
-@dataclass
 class CollectStats:
     steps: int = 0
     interventions: int = 0
@@ -378,64 +373,31 @@ def collect_dual(env: TeacherAugmentedEnv, actor: DenseNet, critic: DenseNet,
     return stats
 
 
-@dataclass
-class S2cdPhaseMetrics(PhaseMetrics):
-    tau: float = 1.0
-    mean_kl: float = 0.0
-    teacher_sample_fraction: float = 0.0
-
-    def row(self) -> dict:
-        base = super().row()
-        base.update(tau=self.tau, mean_kl=self.mean_kl,
-                    teacher_sample_fraction=self.teacher_sample_fraction)
-        return base
-
-
 def train_s2cd(complex_env: HighwayEnv, bundle: TeacherBundle, hp: S2cdHyper,
                switch_cfg: SwitchConfig, seed: int) -> TrainResult:
-    """Teacher-gated training loop: alternating dual collection phases and
-    minibatched adaptive-clip updates. The loss uses the tau snapshot taken
-    at phase start so updates stay deterministic; the switch refreshes tau
-    at every episode boundary."""
-    rng = np.random.default_rng(seed)
+    """Teacher-gated training: ``ppo_core.train_phases`` with dual
+    collection phases and the adaptive-clip loss. The loss uses the tau
+    snapshot taken at phase start so updates stay deterministic; the switch
+    refreshes tau at every episode boundary."""
+    hp.check_clip()
     env = TeacherAugmentedEnv(complex_env, bundle)
-    actor = DenseNet.create(NetSpec(env.obs_dim, 3, head=Head.SOFTMAX_POLICY), rng)
-    critic = DenseNet.create(NetSpec(env.obs_dim, 1, head=Head.SCALAR_VALUE), rng)
-    opt_actor = OptimState.for_net(actor, base_lr=hp.base_lr, lr_decay=hp.lr_decay)
-    opt_critic = OptimState.for_net(critic, base_lr=hp.base_lr, lr_decay=hp.lr_decay)
-
     frozen = bundle.checksum()
-    buffer = DualRolloutBuffer()
-    tracker = EpisodeTracker()
-    state = CollectorState(obs=env.reset())
-    metrics: list[S2cdPhaseMetrics] = []
-    n_phases = max(1, hp.total_steps // hp.rollout_steps)
 
-    for phase in range(n_phases):
-        tracker.reset_phase()
-        tau_phase = decay_tau(state.episodes, switch_cfg, hp.intervention_decay)
-        stats = collect_dual(env, actor, critic, hp, switch_cfg, rng,
-                             hp.rollout_steps, state, buffer, tracker)
-        bootstrap = 0.0 if state.done else critic.forward(state.obs)[0]
-        buffer.finalize(hp, bootstrap)
-
-        progress = min(phase * hp.rollout_steps / hp.total_steps, 1.0)
-        kl_update = _run_updates(buffer, actor, critic, opt_actor, opt_critic, hp, rng,
-                                 progress, partial(s2cd_loss, tau=tau_phase))
-        buffer.clear()
-
-        mean_ret, mean_cost, mean_speed, collisions = tracker.phase_summary()
+    def collect(actor, critic, rng, state, buffer, tracker):
+        tau = decay_tau(state.episodes, switch_cfg, hp.intervention_decay)
+        stats = collect_dual(env, actor, critic, hp, switch_cfg, rng, hp.rollout_steps,
+                             state, buffer, tracker)
         total_rows = stats.steps + stats.synthetic_rows
         teacher_rows = stats.interventions + stats.synthetic_rows
-        metrics.append(S2cdPhaseMetrics(
-            step=(phase + 1) * hp.rollout_steps, mean_return=mean_ret,
-            mean_cost=mean_cost, mean_speed=mean_speed, collisions=collisions,
-            entropy=stats.mean_entropy, kl=kl_update,
-            intervention_rate=stats.intervention_rate, tau=tau_phase,
-            mean_kl=stats.mean_kl,
-            teacher_sample_fraction=teacher_rows / total_rows if total_rows else 0.0,
-        ))
+        return partial(s2cd_loss, tau=tau), {
+            "entropy": stats.mean_entropy,
+            "intervention_rate": stats.intervention_rate,
+            "tau": tau,
+            "mean_kl": stats.mean_kl,
+            "teacher_sample_fraction": teacher_rows / total_rows if total_rows else 0.0,
+        }
 
+    result = train_phases(env, hp, seed, collect, DualRolloutBuffer())
     if bundle.checksum() != frozen:
         raise RuntimeError("teacher bundle was mutated during student training")
-    return TrainResult(actor=actor, critic=critic, metrics=metrics)
+    return result

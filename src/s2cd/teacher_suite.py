@@ -1,6 +1,6 @@
-"""Teacher pipeline: train a PPO policy in the simple world while logging
-supervised targets, then fit per-action immediate-reward and Q-value
-predictor nets that later advise the student.
+"""Teacher pipeline: train a PPO policy in the simple world, take
+supervised targets from each finalized rollout phase, and fit per-action
+immediate-reward and Q-value predictor nets that later advise the student.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ppo_core import HyperParams, TrainResult, train_ppo
+from .ppo_core import HyperParams, RolloutBuffer, TrainResult, train_ppo
 from .tensor_nn import (
     DenseNet,
     Head,
@@ -33,22 +33,22 @@ QUALITY_BUDGET_SCALE = {"high": 1.0, "low": 0.5, "complex": 1.0}
 MIN_FIT_ROWS = 1000
 
 
-@dataclass
-class SupervisedRow:
-    obs: np.ndarray
-    action: int
-    reward: float
-    q_target: float
-
-
-def make_supervised_row(obs: np.ndarray, action: int, reward: float,
-                        next_obs: np.ndarray, done: bool, critic: DenseNet,
-                        gamma: float) -> SupervisedRow:
-    """One regression row; the Q target is the one-step bootstrapped value
-    r + gamma * V(s') using the critic as it stood at collection time."""
-    bootstrap = 0.0 if done else critic.forward(next_obs)[0]
-    return SupervisedRow(obs=np.asarray(obs, dtype=np.float64), action=int(action),
-                         reward=float(reward), q_target=float(reward + gamma * bootstrap))
+def make_supervised_row(buffer: RolloutBuffer, bootstrap: float,
+                        gamma: float) -> tuple[np.ndarray, ...]:
+    """The regression columns (obs, actions, rewards, q_targets) of one
+    finalized phase of plain PPO rows. The Q target of row t is the
+    one-step bootstrapped value r + gamma * V(s'), where V(s') is row t+1's
+    stored value, ``bootstrap`` after the last row, and 0 after a terminal
+    row. The critic does not change within a phase, so these are the values
+    of the critic as it stood at collection time."""
+    rows = buffer.rows
+    rewards = np.array([r.reward for r in rows])
+    next_values = np.append(np.array([r.value for r in rows[1:]]), bootstrap)
+    dones = np.array([r.done for r in rows], dtype=bool)
+    return (np.stack([r.obs for r in rows]),
+            np.array([r.action for r in rows], dtype=np.int64),
+            rewards,
+            rewards + gamma * np.where(dones, 0.0, next_values))
 
 
 @dataclass
@@ -118,23 +118,22 @@ class FitReport:
     rows: int
 
 
-def fit_value_heads(rows: list[SupervisedRow], return_net: DenseNet | None = None,
+def fit_value_heads(obs: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
+                    q_targets: np.ndarray, return_net: DenseNet | None = None,
                     qvalue_net: DenseNet | None = None, seed: int = 0,
                     epochs: int = 40, minibatch: int = 64, base_lr: float = 0.001,
                     heldout_fraction: float = 0.1,
                     min_rows: int = MIN_FIT_ROWS) -> tuple[DenseNet, DenseNet, FitReport]:
     """Squared-error regression of both predictor nets on visited (s, a)
-    pairs. Only the output at the visited action index is constrained.
+    pairs, given as parallel columns with one row per pair. Only the output
+    at the visited action index is constrained.
     """
-    if len(rows) < min_rows:
-        raise ValueError(f"need at least {min_rows} rows, got {len(rows)}")
+    n = len(obs)
+    if n < min_rows:
+        raise ValueError(f"need at least {min_rows} rows, got {n}")
     rng = np.random.default_rng(seed)
-    obs_dim = rows[0].obs.shape[0]
-
-    obs = np.stack([r.obs for r in rows])
-    actions = np.array([r.action for r in rows], dtype=np.int64)
-    targets = {"return": np.array([r.reward for r in rows]),
-               "q": np.array([r.q_target for r in rows])}
+    obs_dim = obs.shape[1]
+    targets = {"return": rewards, "q": q_targets}
     if not np.all(np.isfinite(targets["return"])) or not np.all(np.isfinite(targets["q"])):
         raise ValueError("non-finite regression targets")
 
@@ -152,7 +151,6 @@ def fit_value_heads(rows: list[SupervisedRow], return_net: DenseNet | None = Non
     if qvalue_net is None:
         qvalue_net = fresh_head(targets["q"])
 
-    n = len(rows)
     order = rng.permutation(n)
     split = max(1, int(n * heldout_fraction))
     held, train = order[:split], order[split:]
@@ -204,38 +202,35 @@ def train_teacher(simple_env, hp: HyperParams, quality: str,
                   seed: int) -> tuple[TeacherBundle, TrainResult]:
     """Full teacher pipeline on the simple-fidelity world.
 
-    Runs PPO while accumulating supervised rows per step, refits the two
-    predictor nets after every collection phase (warm-started), and returns
-    the frozen bundle. ``hp.total_steps`` is the high-quality budget; a
-    low-quality teacher trains on half of it.
+    Runs PPO, takes the supervised rows of every finalized collection
+    phase, refits the two predictor nets on all rows so far after each
+    phase (warm-started), and returns the frozen bundle. ``hp.total_steps``
+    is the high-quality budget; a low-quality teacher trains on half of it.
     """
     hp = teacher_hyper(hp, quality)
 
-    rows: list[SupervisedRow] = []
+    phases: list[tuple[np.ndarray, ...]] = []
     nets: dict = {"return": None, "q": None, "report": None}
     fit_seed = seed + 1
 
-    def hook(obs, action, reward, next_obs, done, critic):
-        rows.append(make_supervised_row(obs, action, reward.total, next_obs,
-                                        done, critic, hp.gamma))
-
-    def on_phase(row):
+    def refit(epochs: int) -> None:
         nonlocal fit_seed
+        columns = [np.concatenate(c) for c in zip(*phases)]
+        nets["return"], nets["q"], nets["report"] = fit_value_heads(
+            *columns, return_net=nets["return"], qvalue_net=nets["q"],
+            seed=fit_seed, epochs=epochs)
+        fit_seed += 1
+
+    def on_phase(buffer, bootstrap):
+        phases.append(make_supervised_row(buffer, bootstrap, hp.gamma))
         # refit on the whole accumulated buffer so rare early events (the
         # crash states the gate must recognise) stay in the regression
         # distribution for the entire run
-        if len(rows) >= MIN_FIT_ROWS:
-            nets["return"], nets["q"], nets["report"] = fit_value_heads(
-                rows, return_net=nets["return"], qvalue_net=nets["q"],
-                seed=fit_seed, epochs=1)
-            fit_seed += 1
+        if sum(len(p[0]) for p in phases) >= MIN_FIT_ROWS:
+            refit(epochs=1)
 
-    result = train_ppo(simple_env, hp, seed, transition_hook=hook,
-                       phase_callback=on_phase)
-
-    nets["return"], nets["q"], nets["report"] = fit_value_heads(
-        rows, return_net=nets["return"], qvalue_net=nets["q"],
-        seed=fit_seed, epochs=2 if nets["return"] is not None else 8)
+    result = train_ppo(simple_env, hp, seed, on_phase=on_phase)
+    refit(epochs=2 if nets["return"] is not None else 8)
 
     bundle = TeacherBundle(
         actor=result.actor, critic=result.critic,

@@ -34,7 +34,6 @@ class NetSpec:
     output_dim: int
     hidden: tuple[int, ...] = (64, 64)
     head: Head = Head.SCALAR_VALUE
-    activation: str = "tanh"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
@@ -43,8 +42,6 @@ class NetSpec:
             raise ValueError("all layer widths must be >= 1")
         if self.head is Head.SCALAR_VALUE and self.output_dim != 1:
             raise ValueError("scalar value head requires output_dim == 1")
-        if self.activation != "tanh":
-            raise ValueError("only tanh hidden activations are supported")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -267,7 +264,7 @@ def save_net(net: DenseNet, path: str | Path) -> None:
             "output_dim": net.spec.output_dim,
             "hidden": list(net.spec.hidden),
             "head": net.spec.head.value,
-            "activation": net.spec.activation,
+            "activation": "tanh",
         },
         "params": net.params.tolist(),
     }
@@ -291,7 +288,8 @@ def load_net(path: str | Path) -> DenseNet:
     if payload.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"unsupported checkpoint format: {payload.get('format')}")
     s = payload["spec"]
+    if s["activation"] != "tanh":
+        raise ValueError("only tanh hidden activations are supported")
     spec = NetSpec(input_dim=s["input_dim"], output_dim=s["output_dim"],
-                   hidden=tuple(s["hidden"]), head=Head(s["head"]),
-                   activation=s["activation"])
+                   hidden=tuple(s["hidden"]), head=Head(s["head"]))
     return DenseNet(spec, np.array(payload["params"], dtype=np.float64))

@@ -175,6 +175,27 @@ class TestErrorReporting:
                      "--ablate", "no-everything"]) == 2
         assert not out.exists()
 
+    def test_psi_rule_binds_only_the_gated_student(self, tmp_path, capsys, teacher_dir):
+        # clip_eps below the default psi: only the S2CD loss reads psi
+        teacher = write_config(tmp_path, "teacher.json", {
+            **MICRO_TEACHER, "hyper": {**MICRO_TEACHER["hyper"], "clip_eps": 0.1},
+            "s2cd": {}})
+        assert main(["train-teacher", "--config", teacher,
+                     "--out", str(tmp_path / "teacher")]) == 0
+        student = {k: v for k, v in MICRO_STUDENT.items() if k not in ("s2cd", "switch")}
+        student = write_config(tmp_path, "student.json", {
+            **student, "hyper": {**MICRO_STUDENT["hyper"], "clip_eps": 0.1}})
+        assert main(["train-student", "--baseline", "--config", student,
+                     "--out", str(tmp_path / "baseline")]) == 0
+        capsys.readouterr()
+        bundle = str(teacher_dir / "seed_1" / "bundle")
+        for command in ("train-student", "ablate"):
+            out = tmp_path / command
+            assert main([command, "--config", student, "--bundle", bundle,
+                         "--out", str(out)]) == 2
+            assert not out.exists()
+            assert "config error: psi must lie in [0, clip_eps]" in capsys.readouterr().err
+
     def test_evaluate_missing_checkpoint_writes_nothing(self, tmp_path):
         out = tmp_path / "out"
         assert main(["evaluate", "--checkpoint", str(tmp_path / "nowhere"),

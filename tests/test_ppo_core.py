@@ -362,6 +362,19 @@ class TestTrainPpo:
         for row in result.metrics:
             assert abs(row.kl) < 0.1
 
+    def test_on_phase_sees_each_finalized_phase_once(self):
+        seen = []
+
+        def on_phase(buffer, bootstrap):
+            seen.append((len(buffer), len(buffer.advantages), len(buffer.returns)))
+            assert math.isfinite(bootstrap) and bootstrap != 0.0  # phases end mid-episode
+
+        hp = HyperParams(rollout_steps=110, total_steps=330, minibatch=32, update_epochs=1)
+        observed = train_ppo(RandomObsEnv(seed=4), hp, seed=6, on_phase=on_phase)
+        plain = train_ppo(RandomObsEnv(seed=4), hp, seed=6)
+        assert seen == [(110, 110, 110)] * 3
+        assert [m.row() for m in observed.metrics] == [m.row() for m in plain.metrics]
+
     @pytest.mark.slow
     def test_highway_smoke_run_deterministic(self):
         def run():

@@ -1,10 +1,12 @@
 """Property tests of simulator invariants over random worlds and commands."""
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from s2cd.highway_sim import Action, Density, Fidelity, SimConfig
-from s2cd.mdp_interface import HighwayEnv
+from s2cd.mdp_interface import HighwayEnv, build_observation
 
 # Mostly Follow, so that episodes run long enough for traffic to reach
 # and hold its speed caps instead of ending in an early ego collision.
@@ -73,3 +75,38 @@ def test_simple_world_invariants_and_two_step_lane_changes(case):
 def test_complex_world_invariants(case):
     for _ in run_checked(**case):
         pass
+
+
+def scanned_observation(world):
+    """The observation by a scan of every vehicle for each slot: the nearest
+    non-ego vehicle in the slot's lane and direction by clamped bumper gap,
+    within sensor range, the first in list order on a tie."""
+    cfg = world.config
+    ego = world.ego()
+    out = [ego.speed]
+    for lane_offset, ahead in ((0, True), (-1, True), (-1, False), (1, True), (1, False)):
+        lane = ego.lane_index + lane_offset
+        best, best_gap = None, math.inf
+        if 0 <= lane < cfg.lanes_count:
+            for v in world.vehicles:
+                dx = v.longitudinal_pos - ego.longitudinal_pos
+                if v.is_ego or v.lane_index != lane or (dx <= 0 if ahead else dx >= 0):
+                    continue
+                gap = max(abs(dx) - (v.length + ego.length) / 2.0, 0.0)
+                if gap <= cfg.sensor_range and (best is None or gap < best_gap):
+                    best, best_gap = v, gap
+        out.extend((ego.speed, cfg.sensor_range) if best is None else (best.speed, best_gap))
+    return np.array(out, dtype=np.float64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(Fidelity)).flatmap(lambda f: worlds(f, max_decisions=60)))
+def test_observation_matches_a_scan_of_every_vehicle(case):
+    env = HighwayEnv(case["config"], master_seed=case["master_seed"])
+    env.reset()
+    for command in case["commands"]:  # the reset state up to a terminal one
+        assert build_observation(env.world).tobytes() == \
+            scanned_observation(env.world).tobytes()
+        if env.step(command)[2].episode_done:
+            break
+    assert build_observation(env.world).tobytes() == scanned_observation(env.world).tobytes()

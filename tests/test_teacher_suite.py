@@ -3,10 +3,9 @@ import pytest
 
 from s2cd.highway_sim import SimConfig
 from s2cd.mdp_interface import HighwayEnv
-from s2cd.ppo_core import HyperParams
+from s2cd.ppo_core import HyperParams, RolloutBuffer, Transition
 from s2cd.teacher_suite import (
     Advice,
-    SupervisedRow,
     TeacherBundle,
     fit_value_heads,
     load_bundle,
@@ -19,15 +18,18 @@ from s2cd.tensor_nn import DenseNet, Head, NetSpec
 
 
 def make_rows(n, seed=0, reward_fn=None, obs_dim=11):
+    """Columns (obs, actions, rewards, q_targets) of n random rows whose Q
+    target equals the reward."""
     rng = np.random.default_rng(seed)
     reward_fn = reward_fn or (lambda obs, a: 1.0)
-    rows = []
-    for _ in range(n):
-        obs = rng.uniform(0, 1, size=obs_dim)
-        a = int(rng.integers(0, 3))
-        r = reward_fn(obs, a)
-        rows.append(SupervisedRow(obs=obs, action=a, reward=r, q_target=r))
-    return rows
+    obs = np.empty((n, obs_dim))
+    actions = np.empty(n, dtype=np.int64)
+    rewards = np.empty(n)
+    for i in range(n):
+        obs[i] = rng.uniform(0, 1, size=obs_dim)
+        actions[i] = int(rng.integers(0, 3))
+        rewards[i] = reward_fn(obs[i], actions[i])
+    return obs, actions, rewards, rewards.copy()
 
 
 def make_bundle(seed=0, uniform_actor=False):
@@ -44,43 +46,58 @@ def make_bundle(seed=0, uniform_actor=False):
     )
 
 
+SUPERVISED_REWARDS = [0.4, -1.0, 0.25, 0.5]
+SUPERVISED_VALUES = [0.3, -0.7, 0.55, 0.125]
+
+
+def finalized_phase(dones, bootstrap, gamma=0.96):
+    """Regression columns of a hand-built, finalized four-row phase."""
+    buffer = RolloutBuffer()
+    for t in range(4):
+        buffer.add(Transition(obs=np.full(11, t / 4), action=t % 3, logprob_old=-1.0,
+                              reward=SUPERVISED_REWARDS[t], value=SUPERVISED_VALUES[t],
+                              done=dones[t]))
+    buffer.finalize(HyperParams(gamma=gamma), bootstrap)
+    return make_supervised_row(buffer, bootstrap, gamma)
+
+
 class TestSupervisedRow:
     def test_q_target_is_bootstrapped_reward(self):
-        rng = np.random.default_rng(0)
-        critic = DenseNet.create(NetSpec(11, 1, head=Head.SCALAR_VALUE), rng)
-        obs = rng.uniform(0, 1, 11)
-        nxt = rng.uniform(0, 1, 11)
-        row = make_supervised_row(obs, 1, 0.4, nxt, done=False, critic=critic, gamma=0.96)
-        v_next, _ = critic.forward(nxt)
-        assert row.q_target == pytest.approx(0.4 + 0.96 * v_next, abs=1e-12)
+        gamma, bootstrap = 0.96, 0.8125
+        obs, actions, r, q = finalized_phase([False, True, False, False], bootstrap, gamma)
+        assert obs.tolist() == [[t / 4] * 11 for t in range(4)]
+        assert actions.tolist() == [0, 1, 2, 0]
+        assert r.tolist() == SUPERVISED_REWARDS
+        # the next row's stored value, then the bootstrap after the last row
+        assert q.tolist() == [0.4 + gamma * -0.7, -1.0, 0.25 + gamma * 0.125,
+                              0.5 + gamma * bootstrap]
 
     def test_terminal_row_has_no_bootstrap(self):
-        rng = np.random.default_rng(1)
-        critic = DenseNet.create(NetSpec(11, 1, head=Head.SCALAR_VALUE), rng)
-        row = make_supervised_row(np.zeros(11), 0, -1.0, np.zeros(11), done=True,
-                                  critic=critic, gamma=0.96)
-        assert row.q_target == -1.0
+        # a mid-phase episode end, and a terminal last row whose bootstrap
+        # must be ignored
+        _, _, r, q = finalized_phase([False, True, False, True], bootstrap=5.0)
+        assert q[1] == r[1] == -1.0
+        assert q[3] == r[3] == 0.5
 
 
 class TestFitValueHeads:
     def test_rejects_small_datasets(self):
         with pytest.raises(ValueError):
-            fit_value_heads(make_rows(10))
+            fit_value_heads(*make_rows(10))
 
     def test_constant_target_recovered(self):
         rows = make_rows(1500, seed=1, reward_fn=lambda obs, a: 0.7)
-        ret_net, q_net, report = fit_value_heads(rows, seed=0, epochs=30)
-        obs = np.stack([r.obs for r in rows[:200]])
-        actions = np.array([r.action for r in rows[:200]])
+        ret_net, q_net, report = fit_value_heads(*rows, seed=0, epochs=30)
+        obs, actions = rows[0][:200], rows[1][:200]
         preds, _ = ret_net.forward(obs)
         assert np.all(np.abs(preds[np.arange(200), actions] - 0.7) < 0.01)
 
     def test_duplicated_dataset_reaches_same_fit(self):
         rows = make_rows(1200, seed=2, reward_fn=lambda obs, a: float(obs[0]))
-        net_a, _, _ = fit_value_heads(rows, seed=3, epochs=30)
-        net_b, _, _ = fit_value_heads(rows + rows, seed=3, epochs=15)
-        obs = np.stack([r.obs for r in rows[:300]])
-        actions = np.array([r.action for r in rows[:300]])
+        net_a, _, _ = fit_value_heads(*rows, seed=3, epochs=30)
+        net_b, _, _ = fit_value_heads(*[np.concatenate([c, c]) for c in rows], seed=3,
+                                      epochs=15)
+        obs, actions = rows[0][:300], rows[1][:300]
         pa, _ = net_a.forward(obs)
         pb, _ = net_b.forward(obs)
         ya = pa[np.arange(300), actions]
@@ -97,7 +114,7 @@ class TestFitValueHeads:
             return float(obs @ w + 0.1 * a)
 
         rows = make_rows(4000, seed=5, reward_fn=reward_fn)
-        _, q_net, report = fit_value_heads(rows, seed=6, epochs=60)
+        _, q_net, report = fit_value_heads(*rows, seed=6, epochs=60)
         assert report.heldout_mse < 1e-3
         assert report.heldout_mse < report.target_variance
 

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -304,4 +305,15 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text('{"format": 99, "spec": {}, "params": []}')
         with pytest.raises(ValueError):
+            load_net(path)
+
+    @pytest.mark.parametrize("activation", ["relu", "Tanh", None])
+    def test_rejects_other_activations(self, tmp_path, activation):
+        path = tmp_path / "net.json"
+        save_net(DenseNet.create(NetSpec(3, 1), np.random.default_rng(0)), path)
+        payload = json.loads(path.read_text())
+        assert payload["spec"]["activation"] == "tanh"
+        payload["spec"]["activation"] = activation
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="only tanh"):
             load_net(path)
