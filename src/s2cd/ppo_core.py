@@ -297,8 +297,9 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 @dataclass
 class CollectorState:
-    """Where collection stands between phases: the next observation, whether
-    the last step ended an episode, and how many episodes have ended."""
+    """Where collection stands between phases: the next observation and
+    whether the last step ended an episode. ``episodes`` counts ended
+    episodes for a collector that schedules by them (the S2CD switch)."""
     obs: np.ndarray
     done: bool = False
     episodes: int = 0
