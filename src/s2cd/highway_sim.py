@@ -3,7 +3,7 @@
 Simple fidelity runs 2 Hz decisions over 10 Hz kinematics and finishes a
 lane change in exactly 2 decision steps by linear lateral interpolation.
 Complex fidelity runs 20 Hz decisions over 20 Hz kinematics and executes
-lane changes through the low-level stack (spline path, PID lateral
+lane changes through the low-level stack (two-piece cubic path, PID lateral
 tracking, IDM speed), taking 10 to 20 decision steps.
 
 Traffic follows IDM car-following plus a MOBIL-style gap-and-incentive
@@ -29,7 +29,6 @@ from .lowlevel_control import (
     LATERAL_GAINS,
     LanePath,
     PidState,
-    build_lane_path,
     idm_accel,
     pid_step,
     plan_lane_change,
@@ -174,12 +173,6 @@ class LaneChangeManeuver:
     pid: PidState = field(default_factory=PidState)
     lateral_rate: float = 0.0
 
-    @property
-    def progress(self) -> float:
-        if self.substeps_total:
-            return self.substeps_done / self.substeps_total
-        return 0.0
-
 
 @dataclass
 class VehicleState:
@@ -202,7 +195,6 @@ class WorldState:
     vehicles: list[VehicleState]
     sim_time: float = 0.0
     ego_distance_travelled: float = 0.0
-    rng_state: dict | None = None
     decision_count: int = 0
     substep_count: int = 0
     terminal: bool = False
@@ -259,8 +251,7 @@ def spawn_scenario(config: SimConfig) -> WorldState:
             next_id += 1
 
     vehicles.sort(key=_LANE_ORDER)
-    return WorldState(config=config, vehicles=vehicles,
-                      rng_state=rng.bit_generator.state)
+    return WorldState(config=config, vehicles=vehicles)
 
 
 def step(world: WorldState, ego_command: Action) -> tuple[WorldState, StepEvents]:
@@ -313,7 +304,7 @@ def _begin_lane_change(cfg: SimConfig, vehicle: VehicleState, target: int) -> No
                                      target, cfg.lane_width, cfg.lanes_count)
         vehicle.lane_change = LaneChangeManeuver(
             source_lane=vehicle.lane_index, target_lane=target,
-            path=build_lane_path(waypoints),
+            path=LanePath.through(waypoints),
         )
 
 

@@ -1,11 +1,10 @@
 """Low-level execution stack for the complex-fidelity world.
 
-Cubic-spline lane-change paths, IDM car following, and the small PID
-controller used for lateral path tracking.
+The two-piece cubic lane-change path, IDM car following, and the small
+PID controller used for lateral path tracking.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -86,110 +85,57 @@ def pid_step(gains: PidGains, error: float, state: PidState, dt: float) -> float
 
 
 @dataclass(frozen=True)
-class SplineSegment:
-    """One cubic piece y(x) = a + b*(x-x_i) + c*(x-x_i)^2 + d*(x-x_i)^3 on [x_i, x_{i+1}]."""
-
-    x_i: float
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def value(self, x: float) -> float:
-        u = x - self.x_i
-        return self.a + u * (self.b + u * (self.c + u * self.d))
-
-    def slope(self, x: float) -> float:
-        u = x - self.x_i
-        return self.b + u * (2.0 * self.c + 3.0 * u * self.d)
-
-
-def fit_cubic_spline(points: list[tuple[float, float]]) -> list[SplineSegment]:
-    """Natural cubic spline through ``points`` (strictly increasing x).
-
-    Second derivatives vanish at both ends; every knot is interpolated
-    exactly. Returns one segment per interval.
-    """
-    if len(points) < 2:
-        raise ValueError("need at least two points")
-    xs = [float(p[0]) for p in points]
-    ys = [float(p[1]) for p in points]
-    for x_prev, x_next in zip(xs, xs[1:]):
-        if x_next <= x_prev:
-            raise ValueError("x coordinates must be strictly increasing")
-
-    n = len(xs)
-    h = [xs[i + 1] - xs[i] for i in range(n - 1)]
-    # Tridiagonal system for interior second derivatives m_1..m_{n-2};
-    # natural boundary conditions fix m_0 = m_{n-1} = 0.
-    m = [0.0] * n
-    if n > 2:
-        diag = [2.0 * (h[i - 1] + h[i]) for i in range(1, n - 1)]
-        rhs = [
-            6.0 * ((ys[i + 1] - ys[i]) / h[i] - (ys[i] - ys[i - 1]) / h[i - 1])
-            for i in range(1, n - 1)
-        ]
-        upper = [h[i] for i in range(1, n - 2)]
-        # Thomas algorithm.
-        for i in range(1, len(diag)):
-            w = h[i] / diag[i - 1]
-            diag[i] -= w * upper[i - 1]
-            rhs[i] -= w * rhs[i - 1]
-        sol = [0.0] * len(diag)
-        sol[-1] = rhs[-1] / diag[-1]
-        for i in range(len(diag) - 2, -1, -1):
-            sol[i] = (rhs[i] - upper[i] * sol[i + 1]) / diag[i]
-        m[1 : n - 1] = sol
-
-    segments = []
-    for i in range(n - 1):
-        a = ys[i]
-        b = (ys[i + 1] - ys[i]) / h[i] - h[i] * (2.0 * m[i] + m[i + 1]) / 6.0
-        c = m[i] / 2.0
-        d = (m[i + 1] - m[i]) / (6.0 * h[i])
-        segments.append(SplineSegment(x_i=xs[i], a=a, b=b, c=c, d=d))
-    return segments
-
-
-def spline_value(segments: list[SplineSegment], x: float) -> float:
-    """Evaluate the spline; outside the knot range the boundary cubic extrapolates."""
-    seg, x = _locate(segments, x)
-    return seg.value(x)
-
-
-def spline_slope(segments: list[SplineSegment], x: float) -> float:
-    """dy/dx of the spline, extrapolating the boundary cubic outside the knots."""
-    seg, x = _locate(segments, x)
-    return seg.slope(x)
-
-
-def _locate(segments: list[SplineSegment], x: float) -> tuple[SplineSegment, float]:
-    starts = [s.x_i for s in segments]
-    idx = bisect.bisect_right(starts, x) - 1
-    idx = min(max(idx, 0), len(segments) - 1)
-    return segments[idx], x
-
-
-@dataclass(frozen=True)
 class LanePath:
-    """A fitted lane-change path with explicit start/end bookkeeping."""
+    """Natural cubic spline through the three waypoints of a lane change.
 
-    segments: list[SplineSegment]
+    Two pieces y = a + b*u + c*u^2 + d*u^3, with u measured from the left
+    end of each, meet at ``x_mid``. The path holds its start height before
+    ``x_start`` and the target centerline from ``x_end`` on.
+    """
+
     x_start: float
+    x_mid: float
     x_end: float
     y_end: float
+    left: tuple[float, float, float, float]
+    right: tuple[float, float, float, float]
+
+    @classmethod
+    def through(cls, waypoints: list[tuple[float, float]]) -> "LanePath":
+        """Fit the three (x, y) waypoints; x must be strictly increasing.
+
+        The end second derivatives are 0, which leaves one interior unknown.
+        """
+        (x0, y0), (x1, y1), (x2, y2) = ((float(x), float(y)) for x, y in waypoints)
+        if not x0 < x1 < x2:
+            raise ValueError("x coordinates must be strictly increasing")
+        h0, h1 = x1 - x0, x2 - x1
+        m1 = 6.0 * ((y2 - y1) / h1 - (y1 - y0) / h0) / (2.0 * (h0 + h1))
+
+        def piece(ya, yb, h, ma, mb):
+            return (ya, (yb - ya) / h - h * (2.0 * ma + mb) / 6.0, ma / 2.0,
+                    (mb - ma) / (6.0 * h))
+
+        return cls(x0, x1, x2, y2, piece(y0, y1, h0, 0.0, m1), piece(y1, y2, h1, m1, 0.0))
+
+    def _piece(self, x: float) -> tuple[float, tuple[float, float, float, float]]:
+        if x >= self.x_mid:
+            return x - self.x_mid, self.right
+        return x - self.x_start, self.left
 
     def value(self, x: float) -> float:
         if x >= self.x_end:
             return self.y_end
         if x <= self.x_start:
-            return self.segments[0].a
-        return spline_value(self.segments, x)
+            return self.left[0]
+        u, (a, b, c, d) = self._piece(x)
+        return a + u * (b + u * (c + u * d))
 
     def slope(self, x: float) -> float:
         if x < self.x_start or x >= self.x_end:
             return 0.0
-        return spline_slope(self.segments, x)
+        u, (_, b, c, d) = self._piece(x)
+        return b + u * (2.0 * c + 3.0 * u * d)
 
 
 # Longitudinal span of a lane-change path: the target waypoint sits this far
@@ -205,32 +151,20 @@ def plan_lane_change(
     lane_width: float,
     lanes_count: int,
 ) -> list[tuple[float, float]]:
-    """Waypoints from the current position to the target-lane centerline.
+    """Three waypoints from the current position to the target-lane centerline.
 
     The end waypoint is exactly ``LANE_CHANGE_SPAN`` metres ahead on the
     target centerline, with a midpoint at half the lateral offset so the
-    fitted path ramps smoothly. A same-lane "change" degenerates to a
-    straight segment.
+    fitted path ramps smoothly. The target must be an existing lane next
+    to the current one.
     """
     if not 0 <= target_lane < lanes_count:
         raise ValueError(f"target lane {target_lane} does not exist")
-    if abs(target_lane - current_lane) > 1:
+    if abs(target_lane - current_lane) != 1:
         raise ValueError("target lane must be adjacent")
     y_target = (target_lane + 0.5) * lane_width
-    if target_lane == current_lane:
-        return [(x, y), (x + LANE_CHANGE_SPAN, y)]
     return [
         (x, y),
         (x + LANE_CHANGE_SPAN / 2.0, (y + y_target) / 2.0),
         (x + LANE_CHANGE_SPAN, y_target),
     ]
-
-
-def build_lane_path(waypoints: list[tuple[float, float]]) -> LanePath:
-    segments = fit_cubic_spline(waypoints)
-    return LanePath(
-        segments=segments,
-        x_start=waypoints[0][0],
-        x_end=waypoints[-1][0],
-        y_end=waypoints[-1][1],
-    )

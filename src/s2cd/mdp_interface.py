@@ -23,25 +23,10 @@ from .highway_sim import (
     step as sim_step,
 )
 
-__all__ = [
-    "Action",
-    "RewardConfig",
-    "RewardBreakdown",
-    "build_observation",
-    "efficiency_reward",
-    "safety_cost",
-    "step_reward",
-    "HighwayEnv",
-    "OBS_DIM",
-    "N_ACTIONS",
-    "SLOT_NAMES",
-]
-
 OBS_DIM = 11
-N_ACTIONS = 3
 
-# Neighbour slot order; (lane offset, ahead?) relative to the ego lane.
-SLOT_NAMES = ("front", "front_left", "rear_left", "front_right", "rear_right")
+# Neighbour slots front, front-left, rear-left, front-right, rear-right as
+# (lane offset, ahead?) relative to the ego lane.
 _SLOT_SPEC = ((0, True), (-1, True), (-1, False), (1, True), (1, False))
 
 
@@ -68,7 +53,8 @@ class RewardBreakdown:
 
 def build_observation(world: WorldState) -> np.ndarray:
     """Raw (unnormalized) observation of the current world: the ego speed,
-    then a (v_i, d_i) pair per slot in ``SLOT_NAMES`` order.
+    then a (v_i, d_i) pair per neighbour slot: front, front-left, rear-left,
+    front-right, rear-right.
 
     Absent slots take the sentinel (v_i = ego speed, d_i = sensor range):
     a phantom at maximum range with zero closing speed.
@@ -140,15 +126,10 @@ class HighwayEnv:
         self.master_seed = master_seed
         self.episode_index = -1
         self.world: WorldState | None = None
-        self.last_events: StepEvents | None = None
 
     @property
     def obs_dim(self) -> int:
         return OBS_DIM
-
-    @property
-    def n_actions(self) -> int:
-        return N_ACTIONS
 
     def _scenario_seed(self, episode: int) -> int:
         ss = np.random.SeedSequence(entropy=(self.master_seed, episode))
@@ -158,7 +139,6 @@ class HighwayEnv:
         self.episode_index += 1
         self.world = spawn_scenario(replace(self.config,
                                             seed=self._scenario_seed(self.episode_index)))
-        self.last_events = None
         return self._observe()
 
     def step(self, action: Action) -> tuple[np.ndarray, RewardBreakdown, StepEvents]:
@@ -166,7 +146,6 @@ class HighwayEnv:
             raise RuntimeError("call reset() before stepping")
         _, events = sim_step(self.world, action)
         reward = step_reward(events, self.world, self.reward_config)
-        self.last_events = events
         return self._observe(), reward, events
 
     def ego_speed(self) -> float:

@@ -265,18 +265,12 @@ class TeacherAugmentedEnv:
         self.env = env
         self.bundle = bundle
         self.last_advice: Advice | None = None
-        self.last_raw_obs: np.ndarray | None = None
 
     @property
     def obs_dim(self) -> int:
         return self.env.obs_dim + 3
 
-    @property
-    def n_actions(self) -> int:
-        return self.env.n_actions
-
     def _augment(self, raw: np.ndarray) -> np.ndarray:
-        self.last_raw_obs = raw
         self.last_advice = teacher_advise(self.bundle, raw)
         return augment_observation(raw, self.last_advice.action)
 

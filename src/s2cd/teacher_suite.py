@@ -112,10 +112,10 @@ def teacher_advise(bundle: TeacherBundle, obs: np.ndarray) -> Advice:
 
 @dataclass
 class FitReport:
-    train_mse: float
+    """The Q head's held-out squared error and the variance of its targets."""
+
     heldout_mse: float
     target_variance: float
-    rows: int
 
 
 def fit_value_heads(obs: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
@@ -155,7 +155,6 @@ def fit_value_heads(obs: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
     split = max(1, int(n * heldout_fraction))
     held, train = order[:split], order[split:]
 
-    final = {}
     for key, net in (("return", return_net), ("q", qvalue_net)):
         y = targets[key]
         opt = OptimState.for_net(net, base_lr=base_lr, lr_decay=True)
@@ -170,17 +169,11 @@ def fit_value_heads(obs: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
                 dz[np.arange(len(idx)), actions[idx]] = 2.0 * err / len(idx)
                 grads = net.backward_from_logits(cache, dz)
                 net.params = adamw_step(opt, net.params, grads, progress=progress)
-        for name, idx in (("train", train), ("held", held)):
-            preds, _ = net.forward(obs[idx])
-            err = preds[np.arange(len(idx)), actions[idx]] - y[idx]
-            final[f"{key}_{name}"] = float(np.mean(err ** 2))
 
-    report = FitReport(
-        train_mse=final["q_train"],
-        heldout_mse=final["q_held"],
-        target_variance=float(np.var(targets["q"][held])),
-        rows=n,
-    )
+    preds, _ = qvalue_net.forward(obs[held])
+    err = preds[np.arange(len(held)), actions[held]] - targets["q"][held]
+    report = FitReport(heldout_mse=float(np.mean(err ** 2)),
+                       target_variance=float(np.var(targets["q"][held])))
     return return_net, qvalue_net, report
 
 

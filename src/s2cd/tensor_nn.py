@@ -2,8 +2,8 @@
 
 Fully connected tanh networks over float64 numpy arrays with a flat
 parameter vector, exact reverse-mode gradients, three output heads
-(softmax policy, scalar value, per-action vector) and an AdamW-style
-optimizer with linear learning-rate decay. Everything is double precision
+(softmax policy, scalar value, per-action vector) and an Adam optimizer
+with linear learning-rate decay. Everything is double precision
 so finite-difference gradient checks hold to tight tolerances.
 """
 from __future__ import annotations
@@ -208,7 +208,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class OptimState:
-    """Decoupled-weight-decay adaptive-moment optimizer state."""
+    """Adaptive-moment optimizer state."""
 
     m: np.ndarray
     v: np.ndarray
@@ -217,15 +217,13 @@ class OptimState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    weight_decay: float = 0.0
     lr_decay: bool = True
 
     @classmethod
-    def for_net(cls, net: DenseNet, base_lr: float = 0.0005, weight_decay: float = 0.0,
+    def for_net(cls, net: DenseNet, base_lr: float = 0.0005,
                 lr_decay: bool = True) -> "OptimState":
         n = net.spec.n_params
-        return cls(m=np.zeros(n), v=np.zeros(n), base_lr=base_lr,
-                   weight_decay=weight_decay, lr_decay=lr_decay)
+        return cls(m=np.zeros(n), v=np.zeros(n), base_lr=base_lr, lr_decay=lr_decay)
 
 
 def adamw_step(state: OptimState, params: np.ndarray, grads: np.ndarray,
@@ -248,7 +246,7 @@ def adamw_step(state: OptimState, params: np.ndarray, grads: np.ndarray,
     state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
     m_hat = state.m / (1.0 - state.beta1 ** state.step)
     v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return params - lr * (m_hat / (np.sqrt(v_hat) + state.eps) + state.weight_decay * params)
+    return params - lr * (m_hat / (np.sqrt(v_hat) + state.eps))
 
 
 CHECKPOINT_FORMAT = 1

@@ -198,7 +198,6 @@ class MixedPolicyResult:
     omega: float
     intervened: np.ndarray       # (S,) bool
     d_mix: np.ndarray
-    q_teacher: np.ndarray
     v_teacher: np.ndarray
 
 
@@ -225,8 +224,7 @@ def build_mixed_policy(teachers: Sequence[np.ndarray], students: Sequence[np.nda
         # float summation can drift a hair past 1; omega is a probability mass
         omega = float(np.clip(d_mix[intervened].sum(), 0.0, 1.0))
         results.append(MixedPolicyResult(mixed=mixed, omega=omega, intervened=intervened,
-                                         d_mix=d_mix, q_teacher=q_teacher,
-                                         v_teacher=v_teacher))
+                                         d_mix=d_mix, v_teacher=v_teacher))
     return results
 
 
@@ -342,19 +340,6 @@ def random_policy(rng: np.random.Generator, n_states: int, n_actions: int,
         policy[np.arange(n_states), rng.integers(0, n_actions, size=n_states)] = 1.0
         return policy
     return rng.dirichlet(np.ones(n_actions), size=n_states)
-
-
-def optimal_policy(mdp: TabularMdp) -> np.ndarray:
-    """Greedy policy from value iteration (used as the strong-teacher oracle);
-    RuntimeError after ``MAX_VALUE_ITERATIONS`` sweeps."""
-    def sweep(v: np.ndarray, out: np.ndarray) -> None:
-        action_values(mdp, v[0]).max(axis=1, out=out[0])
-
-    # greedy in the values of the sweep before the converged one
-    v = _fixed_point(sweep, (1, mdp.n_states), "value iteration")[0, 0]
-    policy = np.zeros((mdp.n_states, mdp.n_actions))
-    policy[np.arange(mdp.n_states), np.argmax(action_values(mdp, v), axis=1)] = 1.0
-    return policy
 
 
 def run_sweep(n_instances: int = 100, seed: int = 0, max_states: int = 20,

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -7,15 +8,12 @@ from s2cd.lowlevel_control import (
     BRAKE_FLOOR,
     IdmParams,
     LATERAL_GAINS,
+    LanePath,
     PidGains,
     PidState,
-    build_lane_path,
-    fit_cubic_spline,
     idm_accel,
     pid_step,
     plan_lane_change,
-    spline_slope,
-    spline_value,
 )
 
 
@@ -36,52 +34,124 @@ def natural_spline_second_derivs(xs, ys):
     return np.linalg.solve(A, rhs)
 
 
-class TestCubicSpline:
-    def test_two_points_is_linear(self):
-        segs = fit_cubic_spline([(0.0, 0.0), (1.0, 1.0)])
-        assert len(segs) == 1
-        assert segs[0].a == 0.0
-        assert segs[0].b == pytest.approx(1.0, abs=1e-15)
-        assert segs[0].c == pytest.approx(0.0, abs=1e-15)
-        assert segs[0].d == pytest.approx(0.0, abs=1e-15)
+def reference_spline(points):
+    """The general n-point natural spline (Thomas solve, one piece per
+    interval) that ``LanePath`` specializes: [(x_i, a, b, c, d), ...]."""
+    xs = [float(p[0]) for p in points]
+    ys = [float(p[1]) for p in points]
+    n = len(xs)
+    h = [xs[i + 1] - xs[i] for i in range(n - 1)]
+    m = [0.0] * n
+    if n > 2:
+        diag = [2.0 * (h[i - 1] + h[i]) for i in range(1, n - 1)]
+        rhs = [6.0 * ((ys[i + 1] - ys[i]) / h[i] - (ys[i] - ys[i - 1]) / h[i - 1])
+               for i in range(1, n - 1)]
+        upper = [h[i] for i in range(1, n - 2)]
+        for i in range(1, len(diag)):
+            w = h[i] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            rhs[i] -= w * rhs[i - 1]
+        sol = [0.0] * len(diag)
+        sol[-1] = rhs[-1] / diag[-1]
+        for i in range(len(diag) - 2, -1, -1):
+            sol[i] = (rhs[i] - upper[i] * sol[i + 1]) / diag[i]
+        m[1 : n - 1] = sol
+    return [(xs[i], ys[i], (ys[i + 1] - ys[i]) / h[i] - h[i] * (2.0 * m[i] + m[i + 1]) / 6.0,
+             m[i] / 2.0, (m[i + 1] - m[i]) / (6.0 * h[i])) for i in range(n - 1)]
 
+
+def reference_value(points, x):
+    """The path value with the clamps of the general fit: the start height
+    up to the first knot, the end height from the last one on, and the
+    piece found by bisecting the piece starts in between."""
+    pieces = reference_spline(points)
+    if x >= points[-1][0]:
+        return points[-1][1]
+    if x <= points[0][0]:
+        return pieces[0][1]
+    idx = bisect.bisect_right([p[0] for p in pieces], x) - 1
+    x_i, a, b, c, d = pieces[min(max(idx, 0), len(pieces) - 1)]
+    u = x - x_i
+    return a + u * (b + u * (c + u * d))
+
+
+def reference_slope(points, x):
+    pieces = reference_spline(points)
+    if x < points[0][0] or x >= points[-1][0]:
+        return 0.0
+    idx = bisect.bisect_right([p[0] for p in pieces], x) - 1
+    x_i, _, b, c, d = pieces[min(max(idx, 0), len(pieces) - 1)]
+    u = x - x_i
+    return b + u * (2.0 * c + 3.0 * u * d)
+
+
+class TestCubicSpline:
     def test_collinear_points_stay_linear(self):
-        segs = fit_cubic_spline([(0.0, 0.0), (1.0, 2.0), (2.0, 4.0)])
-        for seg in segs:
-            assert abs(seg.c) < 1e-12
-            assert abs(seg.d) < 1e-12
-            assert seg.b == pytest.approx(2.0, abs=1e-12)
+        path = LanePath.through([(0.0, 0.0), (1.0, 2.0), (2.0, 4.0)])
+        for a, b, c, d in (path.left, path.right):
+            assert abs(c) < 1e-12
+            assert abs(d) < 1e-12
+            assert b == pytest.approx(2.0, abs=1e-12)
 
     def test_random_knots_match_dense_solve_oracle(self):
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            xs = np.cumsum(rng.uniform(0.5, 2.0, size=6))
-            ys = rng.uniform(-3.0, 3.0, size=6)
-            segs = fit_cubic_spline(list(zip(xs, ys)))
+        for _ in range(200):
+            xs = np.cumsum(rng.uniform(0.5, 2.0, size=3))
+            ys = rng.uniform(-3.0, 3.0, size=3)
+            path = LanePath.through(list(zip(xs, ys)))
             m_oracle = natural_spline_second_derivs(xs, ys)
-            # knot interpolation is exact: a_i = y_i
-            for seg, y in zip(segs, ys[:-1]):
-                assert seg.a == y
-            assert spline_value(segs, float(xs[-1])) == pytest.approx(ys[-1], abs=1e-9)
-            # second derivative at each left knot is 2*c_i
-            for seg, m in zip(segs, m_oracle[:-1]):
-                assert 2.0 * seg.c == pytest.approx(m, abs=1e-9)
-            # C1/C2 continuity at interior junctions
-            for left, right in zip(segs, segs[1:]):
-                x = right.x_i
-                assert left.value(x) == pytest.approx(right.value(x), abs=1e-9)
-                assert left.slope(x) == pytest.approx(right.slope(x), abs=1e-9)
-                h = x - left.x_i
-                left_second = 2.0 * left.c + 6.0 * left.d * h
-                assert left_second == pytest.approx(2.0 * right.c, abs=1e-9)
+            # knot interpolation is exact
+            assert path.left[0] == ys[0]
+            assert path.right[0] == ys[1]
+            assert path.value(float(xs[0])) == ys[0]
+            assert path.value(float(xs[2])) == ys[2]
+            assert path.value(float(xs[1])) == ys[1]
+            h1 = xs[2] - xs[1]
+            assert path.right[0] + h1 * (path.right[1] + h1 * (path.right[2] + h1 * path.right[3])) \
+                == pytest.approx(ys[2], abs=1e-9)
+            # second derivative at each knot against the dense solve
+            second = [2.0 * path.left[2], 2.0 * path.right[2],
+                      2.0 * path.right[2] + 6.0 * path.right[3] * h1]
+            assert second == pytest.approx(list(m_oracle), abs=1e-9)
+            # C1/C2 continuity at x_mid
+            h0 = xs[1] - xs[0]
+            a, b, c, d = path.left
+            assert a + h0 * (b + h0 * (c + h0 * d)) == pytest.approx(path.right[0], abs=1e-9)
+            assert b + h0 * (2.0 * c + 3.0 * h0 * d) == pytest.approx(path.right[1], abs=1e-9)
+            assert 2.0 * c + 6.0 * d * h0 == pytest.approx(2.0 * path.right[2], abs=1e-9)
 
     def test_rejects_descending_or_duplicate_x(self):
         with pytest.raises(ValueError):
-            fit_cubic_spline([(0.0, 0.0), (0.0, 1.0)])
+            LanePath.through([(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
         with pytest.raises(ValueError):
-            fit_cubic_spline([(1.0, 0.0), (0.5, 1.0)])
+            LanePath.through([(0.0, 0.0), (1.0, 1.0), (0.5, 1.0)])
         with pytest.raises(ValueError):
-            fit_cubic_spline([(0.0, 0.0)])
+            LanePath.through([(0.0, 0.0), (1.0, 1.0)])
+        with pytest.raises(ValueError):
+            LanePath.through([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 1.0)])
+
+    def test_bit_identical_to_the_general_fit_on_planned_paths(self):
+        rng = np.random.default_rng(15)
+        lane_width = 3.75
+        for n in range(2000):
+            lanes_count = int(rng.integers(2, 6))
+            current = int(rng.integers(0, lanes_count))
+            target = current + (1 if n % 2 == 0 else -1)
+            if not 0 <= target < lanes_count:
+                target = current - (target - current)
+            x = float(rng.uniform(0.0, 2000.0))
+            y = (current + 0.5) * lane_width + float(rng.uniform(-1.0, 1.0))
+            pts = plan_lane_change(x, y, current, target, lane_width, lanes_count)
+            path = LanePath.through(pts)
+            ref = reference_spline(pts)
+            assert np.array([path.left, path.right]).tobytes() == \
+                np.array([piece[1:] for piece in ref]).tobytes()
+            probes = [pts[0][0], pts[1][0], pts[2][0], x - 1.0, x + 12.0,
+                      *(x + rng.uniform(-1.0, 11.0, size=8))]
+            got = np.array([(path.value(float(p)), path.slope(float(p))) for p in probes])
+            want = np.array([(reference_value(pts, float(p)), reference_slope(pts, float(p)))
+                             for p in probes])
+            assert got.tobytes() == want.tobytes()
 
 
 class TestIdm:
@@ -161,10 +231,9 @@ class TestPlanLaneChange:
         assert pts[-1] == (50.0, pytest.approx(2.5 * 3.75))
         assert pts[0] == (40.0, 5.625)
 
-    def test_same_lane_degenerates_to_straight_segment(self):
-        pts = plan_lane_change(10.0, 1.875, 0, 0, 3.75, 3)
-        assert len(pts) == 2
-        assert pts[0][1] == pts[1][1] == 1.875
+    def test_same_lane_rejected(self):
+        with pytest.raises(ValueError, match="adjacent"):
+            plan_lane_change(10.0, 1.875, 0, 0, 3.75, 3)
 
     def test_rejects_nonadjacent_or_missing_lane(self):
         with pytest.raises(ValueError):
@@ -174,14 +243,14 @@ class TestPlanLaneChange:
 
     def test_path_slope_bounded(self):
         pts = plan_lane_change(0.0, 1.875, 0, 1, 3.75, 3)
-        path = build_lane_path(pts)
+        path = LanePath.through(pts)
         xs = np.linspace(0.0, 10.0, 400)
         slopes = [abs(path.slope(float(x))) for x in xs]
         assert max(slopes) < 0.8
 
     def test_path_value_clamps_beyond_span(self):
         pts = plan_lane_change(0.0, 1.875, 1, 0, 3.75, 3)
-        path = build_lane_path(pts)
+        path = LanePath.through(pts)
         assert path.value(25.0) == pytest.approx(0.5 * 3.75)
         assert path.value(-5.0) == pytest.approx(1.875)
         assert path.slope(25.0) == 0.0

@@ -237,7 +237,7 @@ class TestLogSoftmax:
 class TestAdamW:
     def test_zero_gradients_fixed_point(self):
         net = DenseNet.create(NetSpec(4, 1), np.random.default_rng(0))
-        state = OptimState.for_net(net, weight_decay=0.0)
+        state = OptimState.for_net(net)
         before = net.params.copy()
         after = adamw_step(state, net.params, np.zeros_like(net.params), progress=0.3)
         assert np.array_equal(after, before)

@@ -13,7 +13,6 @@ from s2cd.theory_validation import (
     discounted_visitation,
     exact_policy_value,
     greedy_projection,
-    optimal_policy,
     policy_transition,
     random_mdp,
     random_policy,
@@ -25,6 +24,19 @@ def single_state_mdp(reward=1.0, gamma=0.96):
     return TabularMdp(transitions=np.ones((1, 2, 1)),
                       rewards=np.array([[reward, reward]]),
                       gamma=gamma, initial_dist=np.array([1.0]))
+
+
+def optimal_policy(mdp):
+    """Greedy policy from value iteration (the strong-teacher oracle), read
+    from the values of the sweep before the converged one; RuntimeError
+    after ``MAX_VALUE_ITERATIONS`` sweeps."""
+    def sweep(v, out):
+        action_values(mdp, v[0]).max(axis=1, out=out[0])
+
+    v = theory_validation._fixed_point(sweep, (1, mdp.n_states), "value iteration")[0, 0]
+    policy = np.zeros((mdp.n_states, mdp.n_actions))
+    policy[np.arange(mdp.n_states), np.argmax(action_values(mdp, v), axis=1)] = 1.0
+    return policy
 
 
 def linear_solve_value(mdp, policy):
