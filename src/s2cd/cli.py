@@ -283,6 +283,8 @@ def cmd_train_student(args) -> int:
 def _load_checkpoint(path: Path):
     """A checkpoint directory is either a teacher bundle or a student run."""
     manifest = json.loads((path / "manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path / 'manifest.json'}: not a JSON object")
     if "quality_tag" in manifest:
         bundle = load_bundle(path)
         return "teacher", bundle.actor, None, manifest

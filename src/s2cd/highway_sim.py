@@ -182,7 +182,6 @@ class VehicleState:
     lateral_offset: float
     speed: float
     target_speed: float
-    length: float = VEHICLE_LENGTH
     is_ego: bool = False
     lane_change: LaneChangeManeuver | None = None
     cooldown_until: float = 0.0
@@ -318,14 +317,14 @@ def _neighbours(vehicles: list[VehicleState], lane: int, vehicle: VehicleState):
     rear, rear_gap = None, math.inf
     if idx > 0 and vehicles[idx - 1].lane_index == lane:
         rear = vehicles[idx - 1]
-        rear_gap = x - rear.longitudinal_pos - (rear.length + vehicle.length) / 2.0
+        rear_gap = x - rear.longitudinal_pos - VEHICLE_LENGTH
     n = len(vehicles)
     while idx < n and vehicles[idx].lane_index == lane and vehicles[idx].longitudinal_pos == x:
         idx += 1
     if idx == n or vehicles[idx].lane_index != lane:
         return None, math.inf, rear, rear_gap
     lead = vehicles[idx]
-    front_gap = lead.longitudinal_pos - x - (lead.length + vehicle.length) / 2.0
+    front_gap = lead.longitudinal_pos - x - VEHICLE_LENGTH
     return lead, front_gap, rear, rear_gap
 
 
@@ -358,7 +357,7 @@ def _accelerations(cfg: SimConfig, vehicles: list[VehicleState]) -> list[float]:
         while j < n and vehicles[j].lane_index == lane:
             lead = vehicles[j]
             if lead.longitudinal_pos > x:
-                gap = lead.longitudinal_pos - x - (lead.length + v.length) / 2.0
+                gap = lead.longitudinal_pos - x - VEHICLE_LENGTH
                 if gap <= sensor:
                     accel = idm_accel(v.speed, lead.speed, 0.1 if 0.1 > gap else gap, v.idm)
                 break
@@ -494,7 +493,7 @@ def _ego_collides(cfg: SimConfig, vehicles: list[VehicleState], ego: VehicleStat
     if y_ego - VEHICLE_WIDTH / 2.0 < 0.0 or y_ego + VEHICLE_WIDTH / 2.0 > cfg.road_width:
         return True
     for v in vehicles:
-        if v.is_ego or abs(v.longitudinal_pos - ego.longitudinal_pos) >= (v.length + ego.length) / 2.0:
+        if v.is_ego or abs(v.longitudinal_pos - ego.longitudinal_pos) >= VEHICLE_LENGTH:
             continue
         y_other = cfg.lane_center(v.lane_index) + v.lateral_offset
         if abs(y_other - y_ego) < VEHICLE_WIDTH:

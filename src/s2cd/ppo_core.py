@@ -5,7 +5,9 @@ loss with value and entropy terms, minibatched epoch updates.
 optimizers, the collector state and the update schedule, and calls a
 per-phase collection function. ``train_ppo`` supplies plain PPO's; the
 teacher runs ``train_ppo`` and the S2CD student supplies its own, with
-its own rows and loss.
+its own rows. ``ppo_loss`` is the one loss: plain PPO calls it with the
+symmetric clip interval and no KL term, the S2CD student with
+per-row clip intervals and a KL weight.
 """
 from __future__ import annotations
 
@@ -123,6 +125,7 @@ class RolloutBuffer:
             "logprob_old": np.array([r.logprob_old for r in self.rows]),
             "advantages": self.advantages,
             "returns": self.returns,
+            "executed": np.array([r.executed for r in self.rows]),
         }
 
     def clear(self) -> None:
@@ -157,39 +160,44 @@ def compute_gae(rewards: np.ndarray, values: np.ndarray, dones: np.ndarray,
 
 
 def ppo_loss(batch: dict[str, np.ndarray], policy_net: DenseNet, value_net: DenseNet,
-             hp: HyperParams) -> tuple[float, dict[str, np.ndarray], dict]:
-    """Clipped-surrogate loss with value and entropy terms.
+             hp: HyperParams, bounds: tuple[np.ndarray, np.ndarray] | None = None,
+             kl_weight: float = 0.0) -> tuple[float, dict[str, np.ndarray], dict]:
+    """The clipped-surrogate loss of plain PPO and of S2CD.
 
     Returns (scalar loss, {"actor": grad, "critic": grad}, stats). The
-    minimized loss is -surrogate + value_coef*(V-return)^2 - beta*entropy.
+    minimized loss is -surrogate + value_coef*(V-return)^2 - beta*entropy
+    + kl_weight*KL(teacher || policy). The surrogate runs over every row;
+    the value, entropy and KL terms over the rows marked in
+    ``batch["executed"]``, which are all of a plain PPO batch. ``bounds``
+    is the per-row ratio clip interval (lo, hi), ``1 -+ clip_eps`` by
+    default. Only a positive ``kl_weight`` reads ``batch["teacher_probs"]``;
+    without it the ``mean_kl`` stat is 0.
     """
     obs = batch["obs"]
     actions = batch["actions"]
     adv = batch["advantages"]
-    returns = batch["returns"]
     n = len(actions)
+    if bounds is None:
+        bounds = (np.full(n, 1.0 - hp.clip_eps), np.full(n, 1.0 + hp.clip_eps))
+    lo, hi = bounds
 
     probs, cache = policy_net.forward(obs)
     log_probs = policy_net.policy_log_probs(cache)
     lp_new = log_probs[np.arange(n), actions]
-
     delta = lp_new - batch["logprob_old"]
     clamped = np.abs(delta) > hp.ratio_logclamp
     ratio = np.exp(np.clip(delta, -hp.ratio_logclamp, hp.ratio_logclamp))
 
-    lo = 1.0 - hp.clip_eps
-    hi = 1.0 + hp.clip_eps
     unclipped = ratio * adv
     clipped = np.clip(ratio, lo, hi) * adv
     per_sample = np.minimum(unclipped, clipped)
     surrogate = per_sample.mean()
 
+    executed = batch["executed"]
+    n_exec = int(executed.sum())
     entropy = -(np.exp(log_probs) * log_probs).sum(axis=1)
     values, vcache = value_net.forward(obs)
-    value_err = values - returns
-    value_loss = float(np.mean(value_err ** 2))
-
-    loss = float(-surrogate + hp.value_coef * value_loss - hp.entropy_beta * entropy.mean())
+    value_err = values - batch["returns"]
 
     # Gradient of -surrogate w.r.t. lp_new: derivative passes through iff the
     # unclipped branch is active or the ratio sits inside the clip interval.
@@ -198,20 +206,37 @@ def ppo_loss(batch: dict[str, np.ndarray], policy_net: DenseNet, value_net: Dens
     onehot = np.zeros_like(log_probs)
     onehot[np.arange(n), actions] = 1.0
     dlogits = dlp[:, None] * (onehot - probs)
-    # entropy bonus: d(-beta*mean(H))/dlogits
-    dlogits += (hp.entropy_beta / n) * probs * (log_probs + entropy[:, None])
+    value_loss = mean_entropy = mean_kl = 0.0
+    if n_exec > 0:
+        value_loss = float(np.mean(value_err[executed] ** 2))
+        mean_entropy = float(entropy[executed].mean())
+        exec_col = executed[:, None]
+        # entropy bonus on executed rows
+        dlogits += np.where(exec_col, (hp.entropy_beta / n_exec) * probs
+                            * (log_probs + entropy[:, None]), 0.0)
+        if kl_weight > 0.0:
+            t_probs = batch["teacher_probs"]
+            kl_terms = np.where(t_probs > 0, t_probs * (np.log(np.maximum(t_probs, 1e-300))
+                                                        - np.log(np.maximum(probs, 1e-12))),
+                                0.0).sum(axis=1)
+            mean_kl = float(kl_terms[executed].mean())
+            # KL(teacher || student) gradient w.r.t. logits is (student - teacher)
+            dlogits += np.where(exec_col, (kl_weight / n_exec) * (probs - t_probs), 0.0)
+    loss = float(-surrogate + hp.value_coef * value_loss
+                 - hp.entropy_beta * mean_entropy + kl_weight * mean_kl)
     actor_grad = policy_net.backward_from_logits(cache, dlogits)
 
-    critic_grad = value_net.backward(vcache, (2.0 * hp.value_coef / n) * value_err)
+    dv = np.where(executed, value_err, 0.0) * (2.0 * hp.value_coef / max(n_exec, 1))
+    critic_grad = value_net.backward_from_logits(vcache, dv[:, None])
 
     stats = {
         "per_sample_surrogate": per_sample,
-        "clip_bounds": (np.full(n, lo), np.full(n, hi)),
-        "entropy": float(entropy.mean()),
+        "clip_bounds": (lo, hi),
+        "entropy": mean_entropy,
         "value_loss": value_loss,
+        "mean_kl": mean_kl,
         "approx_kl": float(np.mean(batch["logprob_old"] - lp_new)),
         "ratio_clamped": int(clamped.sum()),
-        "clip_fraction": float(np.mean((ratio < lo) | (ratio > hi))),
     }
     return loss, {"actor": actor_grad, "critic": critic_grad}, stats
 
@@ -397,7 +422,12 @@ def _run_updates(buffer: RolloutBuffer, actor: DenseNet, critic: DenseNet,
     return float(np.mean(batch["logprob_old"] - lp_new))
 
 
-def evaluate_actor(env, actor: DenseNet, episodes: int, max_steps: int = 5000) -> dict:
+# Step cap of one evaluation episode, above the simulator's own
+# MAX_DECISION_STEPS, which ends every episode first.
+EVAL_MAX_STEPS = 5000
+
+
+def evaluate_actor(env, actor: DenseNet, episodes: int) -> dict:
     """Greedy (argmax) evaluation; returns per-episode and aggregate metrics.
 
     Success means covering the full episode length without any collision.
@@ -409,7 +439,7 @@ def evaluate_actor(env, actor: DenseNet, episodes: int, max_steps: int = 5000) -
         ep_cost = 0.0
         speeds = []
         success = False
-        for _ in range(max_steps):
+        for _ in range(EVAL_MAX_STEPS):
             probs, _ = actor.forward(obs)
             obs, reward, events = env.step(Action(int(np.argmax(probs))))
             ep_reward += reward.efficiency

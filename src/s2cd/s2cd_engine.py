@@ -9,12 +9,13 @@ weaning coefficient tau shrinks the switch threshold slack, the clip
 asymmetry and the KL weight together, so the objective falls back to plain
 PPO as training progresses.
 
-The rollout rows, buffer, training loop and result type are PPO's from
-``ppo_core``: ``DualTransition`` adds a row's origin, teacher probabilities
-and clip modulation to ``Transition``, ``DualRolloutBuffer`` only adds
-those columns to the batch, and ``train_s2cd`` runs ``train_phases`` with
-``collect_dual`` as the collection and ``s2cd_loss`` at the phase's tau as
-the loss.
+The rollout rows, buffer, training loop, loss and result type are PPO's
+from ``ppo_core``: ``DualTransition`` adds a row's origin, teacher
+probabilities and clip modulation to ``Transition``, ``DualRolloutBuffer``
+only adds those columns to the batch, ``s2cd_loss`` supplies ``ppo_loss``
+with the per-sample clip bounds and the KL weight, and ``train_s2cd`` runs
+``train_phases`` with ``collect_dual`` as the collection and ``s2cd_loss``
+at the phase's tau as the loss.
 """
 from __future__ import annotations
 
@@ -29,7 +30,9 @@ from .highway_sim import Action, check_number_fields
 from .mdp_interface import HighwayEnv
 
 # compute_gae and adamw_step are not called here, but benchmarks/tracer.py
-# wraps this module's binding of each and cannot install without them.
+# wraps this module's binding of each and cannot install without them. It
+# wraps ppo_core.ppo_loss, not this binding, so its call count stays plain
+# PPO's and s2cd_loss's time covers the loss body.
 from .ppo_core import (
     CollectorState,
     EpisodeTracker,
@@ -38,6 +41,7 @@ from .ppo_core import (
     TrainResult,
     Transition,
     compute_gae,
+    ppo_loss,
     sample_action,
     train_phases,
 )
@@ -145,8 +149,7 @@ class DualTransition(Transition):
 
 class DualRolloutBuffer(RolloutBuffer):
     """The PPO rollout buffer, whose batch also carries what the S2CD loss
-    needs: sample origin, clip modulation, teacher probabilities and which
-    rows were executed."""
+    needs: sample origin, clip modulation and teacher probabilities."""
 
     def batch(self) -> dict[str, np.ndarray]:
         return {
@@ -154,7 +157,6 @@ class DualRolloutBuffer(RolloutBuffer):
             "teacher_origin": np.array([r.origin is Origin.TEACHER for r in self.rows]),
             "eps_prime": np.array([r.eps_prime for r in self.rows]),
             "teacher_probs": np.stack([r.teacher_probs for r in self.rows]),
-            "executed": np.array([r.executed for r in self.rows]),
         }
 
 
@@ -170,88 +172,18 @@ def clip_bounds(teacher_origin: np.ndarray, eps: float,
 
 def s2cd_loss(batch: dict[str, np.ndarray], policy_net: DenseNet, value_net: DenseNet,
               hp: S2cdHyper, tau: float) -> tuple[float, dict[str, np.ndarray], dict]:
-    """Dual-source adaptive-clip surrogate with the decaying KL pull.
-
-    Value, entropy and KL terms run over executed rows only; the surrogate
-    runs over every row. With tau == 0 (or adaptive clipping and the KL
-    constraint both off) each per-sample term reduces exactly to the plain
-    clipped-surrogate loss.
+    """Dual-source adaptive-clip surrogate with the decaying KL pull:
+    ``ppo_loss`` with the per-sample clip intervals of ``clip_bounds`` and
+    a KL weight of tau * xi. With tau == 0 (or adaptive clipping and the
+    KL constraint both off) it is exactly the plain clipped-surrogate loss.
     """
-    obs = batch["obs"]
-    actions = batch["actions"]
-    adv = batch["advantages"]
-    n = len(actions)
-
-    eps_prime = batch["eps_prime"] if hp.adaptive_clip else np.zeros(n)
+    eps_prime = batch["eps_prime"] if hp.adaptive_clip else np.zeros(len(batch["actions"]))
     te = tau * eps_prime
     if np.any(te > hp.clip_eps + 1e-12):
         raise ValueError("tau * eps_prime exceeds clip_eps; interval degenerates")
-    lo, hi = clip_bounds(batch["teacher_origin"], hp.clip_eps, te)
-
-    probs, cache = policy_net.forward(obs)
-    log_probs = policy_net.policy_log_probs(cache)
-    lp_new = log_probs[np.arange(n), actions]
-    delta = lp_new - batch["logprob_old"]
-    clamped = np.abs(delta) > hp.ratio_logclamp
-    ratio = np.exp(np.clip(delta, -hp.ratio_logclamp, hp.ratio_logclamp))
-
-    unclipped = ratio * adv
-    clipped = np.clip(ratio, lo, hi) * adv
-    per_sample = np.minimum(unclipped, clipped)
-    surrogate = per_sample.mean()
-
-    executed = batch["executed"]
-    n_exec = int(executed.sum())
-    entropy = -(np.exp(log_probs) * log_probs).sum(axis=1)
-    values, vcache = value_net.forward(obs)
-    value_err = values - batch["returns"]
-
-    t_probs = batch["teacher_probs"]
-    s_floor = np.maximum(probs, 1e-12)
-    kl_terms = np.where(t_probs > 0, t_probs * (np.log(np.maximum(t_probs, 1e-300)) - np.log(s_floor)), 0.0).sum(axis=1)
-
-    if n_exec > 0:
-        value_loss = float(np.mean(value_err[executed] ** 2))
-        mean_entropy = float(entropy[executed].mean())
-        mean_kl = float(kl_terms[executed].mean())
-    else:
-        value_loss = 0.0
-        mean_entropy = 0.0
-        mean_kl = 0.0
-
+    bounds = clip_bounds(batch["teacher_origin"], hp.clip_eps, te)
     kl_weight = tau * hp.xi if hp.kl_constraint else 0.0
-    loss = float(-surrogate + hp.value_coef * value_loss
-                 - hp.entropy_beta * mean_entropy + kl_weight * mean_kl)
-
-    # surrogate gradient: flows when unclipped branch wins or ratio is interior
-    active = (unclipped <= clipped) | ((ratio > lo) & (ratio < hi))
-    dlp = np.where(active & ~clamped, ratio * adv, 0.0) * (-1.0 / n)
-    onehot = np.zeros_like(log_probs)
-    onehot[np.arange(n), actions] = 1.0
-    dlogits = dlp[:, None] * (onehot - probs)
-    if n_exec > 0:
-        exec_col = executed[:, None]
-        # entropy bonus on executed rows
-        dlogits += np.where(exec_col, (hp.entropy_beta / n_exec) * probs
-                            * (log_probs + entropy[:, None]), 0.0)
-        # KL(teacher || student) gradient w.r.t. logits is (student - teacher)
-        if kl_weight > 0.0:
-            dlogits += np.where(exec_col, (kl_weight / n_exec) * (probs - t_probs), 0.0)
-    actor_grad = policy_net.backward_from_logits(cache, dlogits)
-
-    dv = np.where(executed, value_err, 0.0) * (2.0 * hp.value_coef / max(n_exec, 1))
-    critic_grad = value_net.backward(vcache, dv)
-
-    stats = {
-        "per_sample_surrogate": per_sample,
-        "clip_bounds": (lo, hi),
-        "entropy": mean_entropy,
-        "value_loss": value_loss,
-        "mean_kl": mean_kl,
-        "approx_kl": float(np.mean(batch["logprob_old"] - lp_new)),
-        "ratio_clamped": int(clamped.sum()),
-    }
-    return loss, {"actor": actor_grad, "critic": critic_grad}, stats
+    return ppo_loss(batch, policy_net, value_net, hp, bounds, kl_weight)
 
 
 class TeacherAugmentedEnv:

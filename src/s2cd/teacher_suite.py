@@ -18,6 +18,7 @@ from .tensor_nn import (
     NetSpec,
     OptimState,
     adamw_step,
+    json_field,
     load_net,
     save_net,
     write_atomic,
@@ -31,6 +32,11 @@ QUALITY_BUDGET_SCALE = {"high": 1.0, "low": 0.5, "complex": 1.0}
 
 # Fewest supervised rows the predictor heads are fitted on.
 MIN_FIT_ROWS = 1000
+
+# The head fit's minibatch, Adam learning rate and held-out share.
+FIT_MINIBATCH = 64
+FIT_LR = 0.001
+FIT_HELDOUT_FRACTION = 0.1
 
 
 def make_supervised_row(buffer: RolloutBuffer, bootstrap: float,
@@ -121,16 +127,14 @@ class FitReport:
 def fit_value_heads(obs: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
                     q_targets: np.ndarray, return_net: DenseNet | None = None,
                     qvalue_net: DenseNet | None = None, seed: int = 0,
-                    epochs: int = 40, minibatch: int = 64, base_lr: float = 0.001,
-                    heldout_fraction: float = 0.1,
-                    min_rows: int = MIN_FIT_ROWS) -> tuple[DenseNet, DenseNet, FitReport]:
+                    epochs: int = 40) -> tuple[DenseNet, DenseNet, FitReport]:
     """Squared-error regression of both predictor nets on visited (s, a)
     pairs, given as parallel columns with one row per pair. Only the output
     at the visited action index is constrained.
     """
     n = len(obs)
-    if n < min_rows:
-        raise ValueError(f"need at least {min_rows} rows, got {n}")
+    if n < MIN_FIT_ROWS:
+        raise ValueError(f"need at least {MIN_FIT_ROWS} rows, got {n}")
     rng = np.random.default_rng(seed)
     obs_dim = obs.shape[1]
     targets = {"return": rewards, "q": q_targets}
@@ -152,17 +156,17 @@ def fit_value_heads(obs: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
         qvalue_net = fresh_head(targets["q"])
 
     order = rng.permutation(n)
-    split = max(1, int(n * heldout_fraction))
+    split = max(1, int(n * FIT_HELDOUT_FRACTION))
     held, train = order[:split], order[split:]
 
     for key, net in (("return", return_net), ("q", qvalue_net)):
         y = targets[key]
-        opt = OptimState.for_net(net, base_lr=base_lr, lr_decay=True)
+        opt = OptimState.for_net(net, base_lr=FIT_LR, lr_decay=True)
         for epoch in range(epochs):
             progress = epoch / epochs  # linear LR decay across the fit
             perm = rng.permutation(train)
-            for start in range(0, len(perm), minibatch):
-                idx = perm[start : start + minibatch]
+            for start in range(0, len(perm), FIT_MINIBATCH):
+                idx = perm[start : start + FIT_MINIBATCH]
                 preds, cache = net.forward(obs[idx])
                 err = preds[np.arange(len(idx)), actions[idx]] - y[idx]
                 dz = np.zeros_like(preds)
@@ -252,8 +256,12 @@ def save_bundle(bundle: TeacherBundle, directory: str | Path) -> None:
 
 
 def load_bundle(directory: str | Path) -> TeacherBundle:
+    """Read a ``save_bundle`` directory. A malformed manifest or net raises
+    ValueError naming the file."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    json_field(manifest, "quality_tag", str, path)
     nets = {name: load_net(directory / f"{name}.json") for name in BUNDLE_NETS}
     quality = manifest.pop("quality_tag")
     return TeacherBundle(quality_tag=quality, meta=manifest, **nets)

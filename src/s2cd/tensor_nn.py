@@ -84,7 +84,9 @@ class DenseNet:
         if params.shape != (self.spec.n_params,):
             raise ValueError(f"expected {self.spec.n_params} parameters, got {params.shape}")
         self._params = params
-        self._layers = self._slice_layers(params)
+        self._layers = [(params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out),
+                         params[offset + fan_in * fan_out : offset + (fan_in + 1) * fan_out])
+                        for offset, fan_in, fan_out in self._layout]
 
     @classmethod
     def create(cls, spec: NetSpec, rng: np.random.Generator) -> "DenseNet":
@@ -106,15 +108,9 @@ class DenseNet:
     def copy(self) -> "DenseNet":
         return DenseNet(self.spec, self.params.copy())
 
-    def _slice_layers(self, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(params[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out),
-                 params[offset + fan_in * fan_out : offset + (fan_in + 1) * fan_out])
-                for offset, fan_in, fan_out in self._layout]
-
-    def forward(self, x: np.ndarray, params: np.ndarray | None = None):
+    def forward(self, x: np.ndarray):
         """Run the network; returns (output, cache) where cache suffices for
         an exact backward pass. Accepts a single input or a batch."""
-        layers = self._layers if params is None else self._slice_layers(params)
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         h = x[None, :] if squeeze else x
@@ -124,8 +120,8 @@ class DenseNet:
         if not math.isfinite(h.sum()) and not np.isfinite(h).all():
             raise ValueError("non-finite network input")
         activations = [h]
-        last = len(layers) - 1
-        for layer, (w, b) in enumerate(layers):
+        last = len(self._layers) - 1
+        for layer, (w, b) in enumerate(self._layers):
             z = h @ w + b
             if layer < last:
                 h = np.tanh(z)
@@ -144,40 +140,19 @@ class DenseNet:
             return (out[0] if self.spec.head is not Head.SCALAR_VALUE else float(out[0])), cache
         return out, cache
 
-    def backward(self, cache, out_grad: np.ndarray, params: np.ndarray | None = None) -> np.ndarray:
-        """Exact gradient of sum(out * out_grad) w.r.t. every parameter."""
-        activations, logits, out, squeeze = cache
-        g = np.asarray(out_grad, dtype=np.float64)
-        if squeeze:
-            g = g[None] if g.ndim == 0 else g[None, :]
-        if self.spec.head is Head.SOFTMAX_POLICY:
-            p = out  # cached in batch form regardless of squeeze
-            if g.shape != p.shape:
-                raise ValueError("output gradient shape mismatch with cached forward")
-            dz = p * (g - np.sum(g * p, axis=1, keepdims=True))
-        elif self.spec.head is Head.SCALAR_VALUE:
-            if g.ndim != 1 or g.shape[0] != logits.shape[0]:
-                raise ValueError("output gradient shape mismatch with cached forward")
-            dz = g[:, None]
-        else:
-            if g.shape != logits.shape:
-                raise ValueError("output gradient shape mismatch with cached forward")
-            dz = g
-        return self.backward_from_logits(cache, dz, params=params)
-
-    def backward_from_logits(self, cache, logits_grad: np.ndarray,
-                             params: np.ndarray | None = None) -> np.ndarray:
-        """Backward pass seeded at the pre-head layer. Policy losses that
-        differentiate through log-softmax analytically enter here."""
-        layers = self._layers if params is None else self._slice_layers(params)
+    def backward_from_logits(self, cache, logits_grad: np.ndarray) -> np.ndarray:
+        """Exact gradient of sum(logits * logits_grad) w.r.t. every parameter,
+        where the logits are the pre-head outputs of the cached forward (a
+        scalar value head's logits are its (n, 1) column). Losses that
+        differentiate through their head analytically enter here."""
         activations, logits, _, _ = cache
         dz = np.asarray(logits_grad, dtype=np.float64)
         if dz.shape != logits.shape:
             raise ValueError("logits gradient shape mismatch with cached forward")
         grads = np.zeros(self.spec.n_params)
-        for layer in range(len(layers) - 1, -1, -1):
+        for layer in range(len(self._layers) - 1, -1, -1):
             offset, fan_in, fan_out = self._layout[layer]
-            w, _ = layers[layer]
+            w, _ = self._layers[layer]
             h_prev = activations[layer]
             grads[offset : offset + fan_in * fan_out] = (h_prev.T @ dz).reshape(-1)
             grads[offset + fan_in * fan_out : offset + (fan_in + 1) * fan_out] = dz.sum(axis=0)
@@ -281,13 +256,35 @@ def write_atomic(path: str | Path, text: str) -> None:
         raise
 
 
+def json_field(payload, key: str, kind: type, path: str | Path):
+    """``payload[key]`` of a JSON object read from ``path``; ValueError
+    naming the file and the key when the payload is not an object or the
+    key is missing or not of type ``kind`` (a bool is never accepted)."""
+    value = payload.get(key) if isinstance(payload, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{path}: missing or ill-typed key {key!r}")
+    return value
+
+
 def load_net(path: str | Path) -> DenseNet:
+    """Read a ``save_net`` checkpoint. A malformed one raises ValueError
+    naming ``path``."""
     payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format: {payload.get('format')}")
-    s = payload["spec"]
-    if s["activation"] != "tanh":
-        raise ValueError("only tanh hidden activations are supported")
-    spec = NetSpec(input_dim=s["input_dim"], output_dim=s["output_dim"],
-                   hidden=tuple(s["hidden"]), head=Head(s["head"]))
-    return DenseNet(spec, np.array(payload["params"], dtype=np.float64))
+    if json_field(payload, "format", int, path) != CHECKPOINT_FORMAT:
+        raise ValueError(f"{path}: unsupported checkpoint format: {payload['format']}")
+    s = json_field(payload, "spec", dict, path)
+    if s.get("activation") != "tanh":
+        raise ValueError(f"{path}: only tanh hidden activations are supported")
+    dims = (json_field(s, "input_dim", int, path), json_field(s, "output_dim", int, path))
+    hidden = json_field(s, "hidden", list, path)
+    head = json_field(s, "head", str, path)
+    params = json_field(payload, "params", list, path)
+    try:
+        if not all(type(w) is int for w in hidden):
+            raise ValueError("ill-typed key 'hidden'")
+        params = np.array(params)
+        if params.ndim != 1 or params.dtype.kind not in "if":
+            raise ValueError("ill-typed key 'params'")
+        return DenseNet(NetSpec(*dims, hidden=tuple(hidden), head=Head(head)), params)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from s2cd import cli
 from s2cd.cli import main
 from s2cd.teacher_suite import load_bundle
+from s2cd.tensor_nn import DenseNet, Head, NetSpec, save_net
 
 
 MICRO_TEACHER = {
@@ -201,6 +203,42 @@ class TestErrorReporting:
         assert main(["evaluate", "--checkpoint", str(tmp_path / "nowhere"),
                      "--out", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("name,payload", [
+        ("manifest.json", ["ppo_baseline"]),
+        ("actor.json", {"format": 1}),
+        ("actor.json", [1.0, 2.0]),
+        ("actor.json", {"format": 1, "params": [0.0],
+                        "spec": {"input_dim": "11", "output_dim": 3, "hidden": [4],
+                                 "head": "softmax_policy", "activation": "tanh"}}),
+    ])
+    def test_evaluate_malformed_checkpoint_is_a_config_error(self, tmp_path, capsys,
+                                                              name, payload):
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        (ckpt / "manifest.json").write_text(json.dumps({"kind": "ppo_baseline"}))
+        save_net(DenseNet.create(NetSpec(11, 3, head=Head.SOFTMAX_POLICY),
+                                 np.random.default_rng(0)), ckpt / "actor.json")
+        (ckpt / name).write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"config error: {ckpt / name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["manifest.json", "actor.json"])
+    def test_student_malformed_bundle_is_a_config_error(self, tmp_path, capsys, teacher_dir,
+                                                        name):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(teacher_dir / "seed_1" / "bundle", bundle)
+        payload = json.loads((bundle / name).read_text())
+        del payload["quality_tag" if name == "manifest.json" else "spec"]
+        (bundle / name).write_text(json.dumps(payload))
+        cfg = write_config(tmp_path, "student.json", MICRO_STUDENT)
+        out = tmp_path / "out"
+        assert main(["train-student", "--config", cfg, "--bundle", str(bundle),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"config error: {bundle / name}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", ["directory", "missing"])
     def test_unreadable_config_rejected_before_outputs(self, tmp_path, capsys, kind):

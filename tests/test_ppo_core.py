@@ -237,6 +237,7 @@ def make_batch(seed=0, n=48, obs_dim=6):
         "logprob_old": lp_old,
         "advantages": adv,
         "returns": rng.uniform(-1, 1, size=n),
+        "executed": np.ones(n, dtype=bool),
     }
     return batch, actor, critic
 
@@ -293,6 +294,7 @@ class TestPpoLoss:
             "logprob_old": np.array([lp[0] - math.log(1.5)]),  # ratio = 1.5
             "advantages": np.array([1.0]),
             "returns": np.array([0.0]),
+            "executed": np.array([True]),
         }
         hp = HyperParams(entropy_beta=0.0, value_coef=0.0)
         loss, grads, stats = ppo_loss(batch, actor, critic, hp)

@@ -187,11 +187,10 @@ class TestS2cdLoss:
         hp = S2cdHyper()
         loss_s, grads_s, stats_s = s2cd_loss(batch, actor, critic, hp, tau=0.0)
         loss_p, grads_p, stats_p = ppo_loss(batch, actor, critic, hp)
-        assert loss_s == pytest.approx(loss_p, abs=1e-12)
-        assert np.allclose(stats_s["per_sample_surrogate"],
-                           stats_p["per_sample_surrogate"], atol=1e-12)
-        assert np.allclose(grads_s["actor"], grads_p["actor"], atol=1e-12)
-        assert np.allclose(grads_s["critic"], grads_p["critic"], atol=1e-12)
+        assert loss_s == loss_p
+        assert np.array_equal(stats_s["per_sample_surrogate"], stats_p["per_sample_surrogate"])
+        assert np.array_equal(grads_s["actor"], grads_p["actor"])
+        assert np.array_equal(grads_s["critic"], grads_p["critic"])
 
     def test_flags_off_reduces_to_ppo(self):
         batch, actor, critic = make_dual_batch(seed=3)
@@ -199,10 +198,10 @@ class TestS2cdLoss:
                        intervention_decay=False)
         loss_s, grads_s, stats_s = s2cd_loss(batch, actor, critic, hp, tau=1.0)
         loss_p, grads_p, stats_p = ppo_loss(batch, actor, critic, hp)
-        assert loss_s == pytest.approx(loss_p, abs=1e-12)
-        assert np.allclose(stats_s["per_sample_surrogate"],
-                           stats_p["per_sample_surrogate"], atol=1e-12)
-        assert np.allclose(grads_s["actor"], grads_p["actor"], atol=1e-12)
+        assert loss_s == loss_p
+        assert np.array_equal(stats_s["per_sample_surrogate"], stats_p["per_sample_surrogate"])
+        assert np.array_equal(grads_s["actor"], grads_p["actor"])
+        assert np.array_equal(grads_s["critic"], grads_p["critic"])
 
     def test_teacher_rows_permit_larger_positive_updates(self):
         # identical sample duplicated under both origins: the teacher copy's

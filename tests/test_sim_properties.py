@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from s2cd.highway_sim import Action, Density, Fidelity, SimConfig
+from s2cd.highway_sim import VEHICLE_LENGTH, Action, Density, Fidelity, SimConfig
 from s2cd.mdp_interface import HighwayEnv, build_observation
 
 # Mostly Follow, so that episodes run long enough for traffic to reach
@@ -92,7 +92,7 @@ def scanned_observation(world):
                 dx = v.longitudinal_pos - ego.longitudinal_pos
                 if v.is_ego or v.lane_index != lane or (dx <= 0 if ahead else dx >= 0):
                     continue
-                gap = max(abs(dx) - (v.length + ego.length) / 2.0, 0.0)
+                gap = max(abs(dx) - VEHICLE_LENGTH, 0.0)
                 if gap <= cfg.sensor_range and (best is None or gap < best_gap):
                     best, best_gap = v, gap
         out.extend((ego.speed, cfg.sensor_range) if best is None else (best.speed, best_gap))

@@ -98,10 +98,11 @@ class TestForwardExactness:
         net = DenseNet.create(NetSpec(5, 3, hidden=(8, 8), head=Head.VECTOR_VALUE), rng)
         net.params[-1] = 2.0
         net.params[10] -= 0.25
-        _, cache = net.forward(rng.uniform(size=(4, 5)))
+        x = rng.uniform(size=(4, 5))
         dz = rng.normal(size=(4, 3))
-        assert np.array_equal(net.backward_from_logits(cache, dz),
-                              net.backward_from_logits(cache, dz, params=net.params.copy()))
+        fresh = DenseNet(net.spec, net.params.copy())
+        assert np.array_equal(net.backward_from_logits(net.forward(x)[1], dz),
+                              fresh.backward_from_logits(fresh.forward(x)[1], dz))
 
     def test_rejects_wrong_parameter_count(self):
         net = DenseNet.create(NetSpec(4, 1), np.random.default_rng(0))
@@ -165,26 +166,21 @@ class TestForward:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("head,out_dim", [
-        (Head.SOFTMAX_POLICY, 3),
-        (Head.SCALAR_VALUE, 1),
-        (Head.VECTOR_VALUE, 3),
-    ])
+    @pytest.mark.parametrize("head,out_dim", HEADS)
     def test_gradient_matches_finite_differences(self, head, out_dim):
         spec = NetSpec(6, out_dim, hidden=(12, 12), head=head)
         rng = np.random.default_rng(11)
         net = DenseNet.create(spec, rng)
         x = rng.uniform(-1, 1, size=(4, 6))
-        # fixed linear loss over the head output keeps the oracle simple
-        w_loss = rng.uniform(-1, 1, size=(4, out_dim)) if head is not Head.SCALAR_VALUE \
-            else rng.uniform(-1, 1, size=4)
+        # fixed linear loss over the cached logits keeps the oracle simple
+        w_loss = rng.uniform(-1, 1, size=(4, out_dim))
 
         def loss(params):
-            out, _ = net.forward(x, params=params)
-            return float(np.sum(out * w_loss))
+            _, (_, logits, _, _) = DenseNet(spec, params).forward(x)
+            return float(np.sum(logits * w_loss))
 
-        out, cache = net.forward(x)
-        grads = net.backward(cache, w_loss)
+        _, cache = net.forward(x)
+        grads = net.backward_from_logits(cache, w_loss)
         idx = rng.choice(spec.n_params, size=200, replace=False)
         fd = finite_difference(loss, net.params, idx)
         scale = np.maximum(np.abs(fd), 1e-3)
@@ -192,28 +188,33 @@ class TestBackward:
         assert rel.max() < 1e-6
 
     def test_zero_seed_gives_zero_gradient(self):
-        net = DenseNet.create(NetSpec(5, 3, head=Head.SOFTMAX_POLICY), np.random.default_rng(1))
         x = np.random.default_rng(2).uniform(size=(3, 5))
-        _, cache = net.forward(x)
-        grads = net.backward(cache, np.zeros((3, 3)))
-        assert np.all(grads == 0.0)
+        for head, out_dim in HEADS:
+            net = DenseNet.create(NetSpec(5, out_dim, head=head), np.random.default_rng(1))
+            _, cache = net.forward(x)
+            grads = net.backward_from_logits(cache, np.zeros((3, out_dim)))
+            assert np.all(grads == 0.0)
 
     def test_backward_linearity(self):
-        net = DenseNet.create(NetSpec(5, 3, head=Head.VECTOR_VALUE), np.random.default_rng(1))
         rng = np.random.default_rng(9)
-        x = rng.uniform(size=(2, 5))
-        g1 = rng.uniform(-1, 1, size=(2, 3))
-        g2 = rng.uniform(-1, 1, size=(2, 3))
-        _, cache = net.forward(x)
-        lhs = net.backward(cache, 2.5 * g1 - 0.5 * g2)
-        rhs = 2.5 * net.backward(cache, g1) - 0.5 * net.backward(cache, g2)
-        assert np.allclose(lhs, rhs, atol=1e-12)
+        for head, out_dim in HEADS:
+            net = DenseNet.create(NetSpec(5, out_dim, head=head), np.random.default_rng(1))
+            x = rng.uniform(size=(2, 5))
+            g1 = rng.uniform(-1, 1, size=(2, out_dim))
+            g2 = rng.uniform(-1, 1, size=(2, out_dim))
+            _, cache = net.forward(x)
+            lhs = net.backward_from_logits(cache, 2.5 * g1 - 0.5 * g2)
+            rhs = (2.5 * net.backward_from_logits(cache, g1)
+                   - 0.5 * net.backward_from_logits(cache, g2))
+            assert np.allclose(lhs, rhs, atol=1e-12)
 
     def test_mismatched_gradient_shape_rejected(self):
-        net = DenseNet.create(NetSpec(5, 3, head=Head.VECTOR_VALUE), np.random.default_rng(1))
-        _, cache = net.forward(np.zeros((2, 5)))
-        with pytest.raises(ValueError):
-            net.backward(cache, np.zeros((3, 3)))
+        for head, out_dim in HEADS:
+            net = DenseNet.create(NetSpec(5, out_dim, head=head), np.random.default_rng(1))
+            _, cache = net.forward(np.zeros((2, 5)))
+            for shape in ((3, out_dim), (2, out_dim + 1), (2,)):
+                with pytest.raises(ValueError):
+                    net.backward_from_logits(cache, np.zeros(shape))
 
 
 class TestLogSoftmax:
