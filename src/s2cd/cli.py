@@ -23,7 +23,7 @@ from .mdp_interface import OBS_DIM, HighwayEnv, RewardConfig
 from .ppo_core import HyperParams, TrainingAborted, evaluate_actor, train_ppo
 from .s2cd_engine import S2cdHyper, SwitchConfig, TeacherAugmentedEnv, train_s2cd
 from .teacher_suite import load_bundle, save_bundle, teacher_hyper, train_teacher
-from .tensor_nn import load_net, save_net, write_atomic
+from .tensor_nn import json_field, load_net, save_net, write_atomic
 from .theory_validation import run_sweep
 
 
@@ -281,16 +281,19 @@ def cmd_train_student(args) -> int:
 
 
 def _load_checkpoint(path: Path):
-    """A checkpoint directory is either a teacher bundle or a student run."""
-    manifest = json.loads((path / "manifest.json").read_text())
+    """A checkpoint directory is either a teacher bundle, whose manifest has
+    a ``quality_tag``, or a student run, whose manifest names its ``kind``."""
+    manifest_path = path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
     if not isinstance(manifest, dict):
-        raise ValueError(f"{path / 'manifest.json'}: not a JSON object")
+        raise ValueError(f"{manifest_path}: not a JSON object")
     if "quality_tag" in manifest:
         bundle = load_bundle(path)
         return "teacher", bundle.actor, None, manifest
+    kind = json_field(manifest, "kind", str, manifest_path)
     actor = load_net(path / "actor.json")
     bundle = load_bundle(path / "bundle") if (path / "bundle").exists() else None
-    return manifest.get("kind", "student"), actor, bundle, manifest
+    return kind, actor, bundle, manifest
 
 
 def cmd_evaluate(args) -> int:

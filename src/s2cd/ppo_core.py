@@ -4,10 +4,13 @@ loss with value and entropy terms, minibatched epoch updates.
 ``train_phases`` is the one training loop: it owns the nets, the
 optimizers, the collector state and the update schedule, and calls a
 per-phase collection function. ``train_ppo`` supplies plain PPO's; the
-teacher runs ``train_ppo`` and the S2CD student supplies its own, with
-its own rows. ``ppo_loss`` is the one loss: plain PPO calls it with the
-symmetric clip interval and no KL term, the S2CD student with
-per-row clip intervals and a KL weight.
+teacher runs ``train_ppo`` and the S2CD student supplies its own.
+``RolloutBuffer`` is the one rollout store: a collection adds rows of
+named columns, and ``finalize`` turns them into the batch the updates
+read. The S2CD student's rows carry three more columns than plain PPO's.
+``ppo_loss`` is the one loss: plain PPO calls it with the symmetric clip
+interval and no KL term, the S2CD student with per-row clip intervals
+and a KL weight.
 """
 from __future__ import annotations
 
@@ -63,19 +66,8 @@ class HyperParams:
                              "must be positive")
 
 
-@dataclass
-class Transition:
-    obs: np.ndarray
-    action: int
-    logprob_old: float
-    reward: float
-    value: float
-    done: bool
-    executed: bool = True
-
-
 class RolloutBuffer:
-    """Rows of one collection phase plus their advantages and returns.
+    """The columns of one collection phase, one list per batch key.
 
     Executed rows form the trajectory, in order. A synthetic row
     (``executed=False``) is an action that was not taken, with a predicted
@@ -84,24 +76,28 @@ class RolloutBuffer:
     """
 
     def __init__(self):
-        self.rows: list[Transition] = []
-        self.advantages: np.ndarray | None = None
-        self.returns: np.ndarray | None = None
+        self.columns: dict[str, list] = {}
 
-    def add(self, row: Transition) -> None:
-        self.rows.append(row)
+    def add(self, **row) -> None:
+        """Append one row. Every row names the same columns as the first."""
+        if not self.columns:
+            self.columns = {key: [] for key in row}
+        elif row.keys() != self.columns.keys():
+            raise ValueError(f"row columns {sorted(row)} differ from the buffer's "
+                             f"{sorted(self.columns)}")
+        for key, value in row.items():
+            self.columns[key].append(value)
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def finalize(self, hp: HyperParams, bootstrap_value: float) -> None:
-        """GAE over the executed rows; each synthetic row gets the one-step
-        TD residual of its predicted reward. All advantages are normalized
-        jointly."""
-        executed = np.array([r.executed for r in self.rows], dtype=bool)
-        rewards = np.array([r.reward for r in self.rows])
-        values = np.array([r.value for r in self.rows])[executed]
-        dones = np.array([r.done for r in self.rows], dtype=bool)[executed]
+    def finalize(self, hp: HyperParams, bootstrap_value: float) -> dict[str, np.ndarray]:
+        """The phase's batch: every column as an array, plus ``advantages``
+        and ``returns``. GAE runs over the executed rows; each synthetic row
+        gets the one-step TD residual of its predicted reward. All
+        advantages are normalized jointly."""
+        batch = {key: np.array(column) for key, column in self.columns.items()}
+        executed = batch["executed"]
+        rewards = batch["rewards"]
+        values = batch["values"][executed]
+        dones = batch["dones"][executed]
         adv_exec, ret_exec = compute_gae(rewards[executed], values, dones, hp.gamma,
                                          hp.gae_lambda, bootstrap_value)
         synthetic = ~executed
@@ -111,27 +107,13 @@ class RolloutBuffer:
         nonterminal = np.where(dones[i], 0.0, 1.0)
         td = rewards[synthetic] + hp.gamma * next_values[i] * nonterminal - values[i]
 
-        adv = np.empty(len(self.rows))
-        ret = np.empty(len(self.rows))
+        adv = np.empty(len(rewards))
+        ret = np.empty(len(rewards))
         adv[executed], ret[executed] = adv_exec, ret_exec
         adv[synthetic], ret[synthetic] = td, td + values[i]
-        self.advantages = normalize_advantages(adv)
-        self.returns = ret
-
-    def batch(self) -> dict[str, np.ndarray]:
-        return {
-            "obs": np.stack([r.obs for r in self.rows]),
-            "actions": np.array([r.action for r in self.rows], dtype=np.int64),
-            "logprob_old": np.array([r.logprob_old for r in self.rows]),
-            "advantages": self.advantages,
-            "returns": self.returns,
-            "executed": np.array([r.executed for r in self.rows]),
-        }
-
-    def clear(self) -> None:
-        self.rows = []
-        self.advantages = None
-        self.returns = None
+        batch["advantages"] = normalize_advantages(adv)
+        batch["returns"] = ret
+        return batch
 
 
 def normalize_advantages(adv: np.ndarray) -> np.ndarray:
@@ -164,7 +146,8 @@ def ppo_loss(batch: dict[str, np.ndarray], policy_net: DenseNet, value_net: Dens
              kl_weight: float = 0.0) -> tuple[float, dict[str, np.ndarray], dict]:
     """The clipped-surrogate loss of plain PPO and of S2CD.
 
-    Returns (scalar loss, {"actor": grad, "critic": grad}, stats). The
+    Returns (scalar loss, {"actor": grad, "critic": grad}, stats), where
+    stats holds the per-row ``per_sample_surrogate`` and ``mean_kl``. The
     minimized loss is -surrogate + value_coef*(V-return)^2 - beta*entropy
     + kl_weight*KL(teacher || policy). The surrogate runs over every row;
     the value, entropy and KL terms over the rows marked in
@@ -229,15 +212,7 @@ def ppo_loss(batch: dict[str, np.ndarray], policy_net: DenseNet, value_net: Dens
     dv = np.where(executed, value_err, 0.0) * (2.0 * hp.value_coef / max(n_exec, 1))
     critic_grad = value_net.backward_from_logits(vcache, dv[:, None])
 
-    stats = {
-        "per_sample_surrogate": per_sample,
-        "clip_bounds": (lo, hi),
-        "entropy": mean_entropy,
-        "value_loss": value_loss,
-        "mean_kl": mean_kl,
-        "approx_kl": float(np.mean(batch["logprob_old"] - lp_new)),
-        "ratio_clamped": int(clamped.sum()),
-    }
+    stats = {"per_sample_surrogate": per_sample, "mean_kl": mean_kl}
     return loss, {"actor": actor_grad, "critic": critic_grad}, stats
 
 
@@ -330,15 +305,15 @@ class CollectorState:
     episodes: int = 0
 
 
-def train_phases(env, hp: HyperParams, seed: int, collect, buffer: RolloutBuffer,
-                 on_phase=None) -> TrainResult:
+def train_phases(env, hp: HyperParams, seed: int, collect, on_phase=None) -> TrainResult:
     """The training loop of plain PPO, the teacher and the S2CD student.
 
     Each phase ``collect(actor, critic, rng, state, buffer, tracker)`` fills
-    the buffer with ``hp.rollout_steps`` steps and returns the phase's loss
-    function and its non-episodic ``PhaseMetrics`` fields. The loop then
-    bootstraps, finalizes the buffer, calls ``on_phase(buffer, bootstrap)``
-    when given, runs the minibatched updates and clears the buffer.
+    a fresh ``RolloutBuffer`` with ``hp.rollout_steps`` steps and returns
+    the phase's loss function and its non-episodic ``PhaseMetrics`` fields.
+    The loop then bootstraps, finalizes the buffer into the phase's batch,
+    calls ``on_phase(batch, bootstrap)`` when given and runs the
+    minibatched updates on the batch.
     """
     rng = np.random.default_rng(seed)
     actor = DenseNet.create(NetSpec(env.obs_dim, 3, head=Head.SOFTMAX_POLICY), rng)
@@ -353,15 +328,16 @@ def train_phases(env, hp: HyperParams, seed: int, collect, buffer: RolloutBuffer
 
     for phase in range(n_phases):
         tracker.reset_phase()
+        buffer = RolloutBuffer()
         loss_fn, fields = collect(actor, critic, rng, state, buffer, tracker)
         bootstrap = 0.0 if state.done else critic.forward(state.obs)[0]
-        buffer.finalize(hp, bootstrap)
+        batch = buffer.finalize(hp, bootstrap)
         if on_phase is not None:
-            on_phase(buffer, bootstrap)
+            on_phase(batch, bootstrap)
         progress = min(phase * hp.rollout_steps / hp.total_steps, 1.0)
-        kl = _run_updates(buffer, actor, critic, opt_actor, opt_critic, hp, rng, progress,
+        kl = _run_updates(batch, actor, critic, opt_actor, opt_critic, hp, rng, progress,
                           loss_fn)
-        buffer.clear()
+        del batch  # the next phase collects without this phase's arrays alive
         metrics.append(PhaseMetrics((phase + 1) * hp.rollout_steps,
                                     *tracker.phase_summary(), kl=kl, **fields))
 
@@ -385,23 +361,21 @@ def train_ppo(env, hp: HyperParams, seed: int, on_phase=None) -> TrainResult:
             value, _ = critic.forward(obs)
             state.obs, reward, events = env.step(Action(action))
             state.done = events.episode_done
-            buffer.add(Transition(obs=obs, action=action,
-                                  logprob_old=float(log_probs[action]),
-                                  reward=reward.total, value=value, done=state.done))
+            buffer.add(obs=obs, actions=action, logprob_old=float(log_probs[action]),
+                       rewards=reward.total, values=value, dones=state.done, executed=True)
             entropies.append(float(-np.add.reduce(probs * np.log(probs))))
             tracker.record(reward, events, env.ego_speed())
         return ppo_loss, {"entropy": float(np.mean(entropies))}
 
-    return train_phases(env, hp, seed, collect, RolloutBuffer(), on_phase)
+    return train_phases(env, hp, seed, collect, on_phase)
 
 
-def _run_updates(buffer: RolloutBuffer, actor: DenseNet, critic: DenseNet,
+def _run_updates(batch: dict[str, np.ndarray], actor: DenseNet, critic: DenseNet,
                  opt_actor: OptimState, opt_critic: OptimState, hp: HyperParams,
                  rng: np.random.Generator, progress: float,
                  loss_fn=ppo_loss) -> float:
     """Minibatched epochs of ``loss_fn(minibatch, actor, critic, hp)`` over
-    the buffer; returns post-update KL(old||new)."""
-    batch = buffer.batch()
+    the finalized batch; returns post-update KL(old||new)."""
     n = len(batch["actions"])
     for _ in range(hp.update_epochs):
         order = rng.permutation(n)

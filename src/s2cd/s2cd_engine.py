@@ -9,11 +9,11 @@ weaning coefficient tau shrinks the switch threshold slack, the clip
 asymmetry and the KL weight together, so the objective falls back to plain
 PPO as training progresses.
 
-The rollout rows, buffer, training loop, loss and result type are PPO's
-from ``ppo_core``: ``DualTransition`` adds a row's origin, teacher
-probabilities and clip modulation to ``Transition``, ``DualRolloutBuffer``
-only adds those columns to the batch, ``s2cd_loss`` supplies ``ppo_loss``
-with the per-sample clip bounds and the KL weight, and ``train_s2cd`` runs
+The rollout buffer, training loop, loss and result type are PPO's from
+``ppo_core``: ``collect_dual`` adds PPO's columns plus each row's
+``teacher_origin``, clip modulation ``eps_prime`` and ``teacher_probs``
+to the ``RolloutBuffer``, ``s2cd_loss`` supplies ``ppo_loss`` with the
+per-sample clip bounds and the KL weight, and ``train_s2cd`` runs
 ``train_phases`` with ``collect_dual`` as the collection and ``s2cd_loss``
 at the phase's tau as the loss.
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from functools import partial
 
 import numpy as np
@@ -39,7 +38,6 @@ from .ppo_core import (
     HyperParams,
     RolloutBuffer,
     TrainResult,
-    Transition,
     compute_gae,
     ppo_loss,
     sample_action,
@@ -47,11 +45,6 @@ from .ppo_core import (
 )
 from .tensor_nn import DenseNet, adamw_step
 from .teacher_suite import Advice, TeacherBundle, teacher_advise
-
-
-class Origin(str, Enum):
-    STUDENT = "student"
-    TEACHER = "teacher"
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,6 @@ class S2cdHyper(HyperParams):
     adaptive_clip: bool = True
     kl_constraint: bool = True
     intervention_decay: bool = True
-    sample_actions: bool = True   # sample during training, argmax at eval
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -108,11 +100,11 @@ def decay_tau(n_episodes: int, cfg: SwitchConfig, enabled: bool = True) -> float
 
 
 def switch_action(q_teacher: float, q_student: float, tau: float,
-                  cfg: SwitchConfig) -> tuple[Origin, bool]:
-    """Teacher overrides iff its Q advantage clears the tolerance threshold
-    (1 - tau) * eps, which widens as training progresses."""
-    intervene = (q_teacher - q_student) > (1.0 - tau) * cfg.tolerance_eps
-    return (Origin.TEACHER if intervene else Origin.STUDENT), intervene
+                  cfg: SwitchConfig) -> bool:
+    """Whether the teacher overrides: iff its Q advantage clears the
+    tolerance threshold (1 - tau) * eps, which widens as training
+    progresses."""
+    return (q_teacher - q_student) > (1.0 - tau) * cfg.tolerance_eps
 
 
 def adaptive_epsilon(p_student: float, p_teacher: float, psi: float) -> float:
@@ -135,29 +127,6 @@ def augment_observation(obs: np.ndarray, teacher_action: int) -> np.ndarray:
     onehot = np.zeros(3)
     onehot[teacher_action] = 1.0
     return np.concatenate([np.asarray(obs, dtype=np.float64), onehot])
-
-
-@dataclass(kw_only=True)
-class DualTransition(Transition):
-    """A row of the student's rollout. ``obs`` is the augmented
-    observation; a synthetic row's ``reward`` is the return net's
-    prediction for the teacher's action."""
-    origin: Origin
-    teacher_probs: np.ndarray
-    eps_prime: float
-
-
-class DualRolloutBuffer(RolloutBuffer):
-    """The PPO rollout buffer, whose batch also carries what the S2CD loss
-    needs: sample origin, clip modulation and teacher probabilities."""
-
-    def batch(self) -> dict[str, np.ndarray]:
-        return {
-            **super().batch(),
-            "teacher_origin": np.array([r.origin is Origin.TEACHER for r in self.rows]),
-            "eps_prime": np.array([r.eps_prime for r in self.rows]),
-            "teacher_probs": np.stack([r.teacher_probs for r in self.rows]),
-        }
 
 
 def clip_bounds(teacher_origin: np.ndarray, eps: float,
@@ -240,12 +209,14 @@ class CollectStats:
 
 def collect_dual(env: TeacherAugmentedEnv, actor: DenseNet, critic: DenseNet,
                  hp: S2cdHyper, switch_cfg: SwitchConfig, rng: np.random.Generator,
-                 n_steps: int, state: CollectorState, buffer: DualRolloutBuffer,
+                 n_steps: int, state: CollectorState, buffer: RolloutBuffer,
                  tracker: EpisodeTracker | None = None) -> CollectStats:
     """One collection phase. For every step the executed transition is
     stored once (teacher origin when the switch fired); when dual-source
     collection is on and the teacher's advice differs from the executed
-    action, its predicted transition is stored as an extra teacher row."""
+    action, its predicted transition is stored as an extra teacher row.
+    ``obs`` is the augmented observation, and a synthetic row's reward is
+    the return net's prediction for the teacher's action."""
     stats = CollectStats()
     tau_episode = decay_tau(state.episodes, switch_cfg, hp.intervention_decay)
     for _ in range(n_steps):
@@ -258,11 +229,10 @@ def collect_dual(env: TeacherAugmentedEnv, actor: DenseNet, critic: DenseNet,
 
         probs, cache = actor.forward(obs)
         log_probs = actor.policy_log_probs(cache)
-        a_student = (sample_action(probs, rng) if hp.sample_actions
-                     else int(np.argmax(probs)))
+        a_student = sample_action(probs, rng)
         q_teacher = float(advice.q_pred[advice.action])
         q_student = float(advice.q_pred[a_student])
-        _, intervened = switch_action(q_teacher, q_student, tau_episode, switch_cfg)
+        intervened = switch_action(q_teacher, q_student, tau_episode, switch_cfg)
         a_exec = advice.action if intervened else a_student
 
         eps_prime = adaptive_epsilon(float(probs[a_student]),
@@ -271,20 +241,16 @@ def collect_dual(env: TeacherAugmentedEnv, actor: DenseNet, critic: DenseNet,
         next_obs, reward, events = env.step(Action(a_exec))
         state.done = events.episode_done
 
-        buffer.add(DualTransition(
-            obs=obs, action=a_exec, reward=reward.total,
-            origin=Origin.TEACHER if intervened else Origin.STUDENT,
-            teacher_probs=advice.probs, logprob_old=float(log_probs[a_exec]),
-            eps_prime=eps_prime, value=value, done=state.done,
-        ))
+        buffer.add(obs=obs, actions=a_exec, logprob_old=float(log_probs[a_exec]),
+                   rewards=reward.total, values=value, dones=state.done, executed=True,
+                   teacher_origin=intervened, eps_prime=eps_prime,
+                   teacher_probs=advice.probs)
         if hp.dual_source and advice.action != a_exec:
-            buffer.add(DualTransition(
-                obs=obs, action=advice.action, reward=advice.r_pred,
-                origin=Origin.TEACHER, teacher_probs=advice.probs,
-                logprob_old=float(log_probs[advice.action]),
-                eps_prime=eps_prime, value=value, done=state.done,
-                executed=False,
-            ))
+            buffer.add(obs=obs, actions=advice.action,
+                       logprob_old=float(log_probs[advice.action]),
+                       rewards=advice.r_pred, values=value, dones=state.done,
+                       executed=False, teacher_origin=True, eps_prime=eps_prime,
+                       teacher_probs=advice.probs)
             stats.synthetic_rows += 1
 
         stats.steps += 1
@@ -323,7 +289,7 @@ def train_s2cd(complex_env: HighwayEnv, bundle: TeacherBundle, hp: S2cdHyper,
             "teacher_sample_fraction": teacher_rows / total_rows if total_rows else 0.0,
         }
 
-    result = train_phases(env, hp, seed, collect, DualRolloutBuffer())
+    result = train_phases(env, hp, seed, collect)
     if bundle.checksum() != frozen:
         raise RuntimeError("teacher bundle was mutated during student training")
     return result

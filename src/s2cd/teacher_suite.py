@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ppo_core import HyperParams, RolloutBuffer, TrainResult, train_ppo
+from .ppo_core import HyperParams, TrainResult, train_ppo
 from .tensor_nn import (
     DenseNet,
     Head,
@@ -39,22 +39,18 @@ FIT_LR = 0.001
 FIT_HELDOUT_FRACTION = 0.1
 
 
-def make_supervised_row(buffer: RolloutBuffer, bootstrap: float,
+def make_supervised_row(batch: dict[str, np.ndarray], bootstrap: float,
                         gamma: float) -> tuple[np.ndarray, ...]:
     """The regression columns (obs, actions, rewards, q_targets) of one
-    finalized phase of plain PPO rows. The Q target of row t is the
-    one-step bootstrapped value r + gamma * V(s'), where V(s') is row t+1's
-    stored value, ``bootstrap`` after the last row, and 0 after a terminal
-    row. The critic does not change within a phase, so these are the values
-    of the critic as it stood at collection time."""
-    rows = buffer.rows
-    rewards = np.array([r.reward for r in rows])
-    next_values = np.append(np.array([r.value for r in rows[1:]]), bootstrap)
-    dones = np.array([r.done for r in rows], dtype=bool)
-    return (np.stack([r.obs for r in rows]),
-            np.array([r.action for r in rows], dtype=np.int64),
-            rewards,
-            rewards + gamma * np.where(dones, 0.0, next_values))
+    finalized batch of plain PPO rows, all executed. The Q target of row t
+    is the one-step bootstrapped value r + gamma * V(s'), where V(s') is
+    row t+1's stored value, ``bootstrap`` after the last row, and 0 after a
+    terminal row. The critic does not change within a phase, so these are
+    the values of the critic as it stood at collection time."""
+    rewards = batch["rewards"]
+    next_values = np.append(batch["values"][1:], bootstrap)
+    return (batch["obs"], batch["actions"], rewards,
+            rewards + gamma * np.where(batch["dones"], 0.0, next_values))
 
 
 @dataclass
@@ -218,8 +214,8 @@ def train_teacher(simple_env, hp: HyperParams, quality: str,
             seed=fit_seed, epochs=epochs)
         fit_seed += 1
 
-    def on_phase(buffer, bootstrap):
-        phases.append(make_supervised_row(buffer, bootstrap, hp.gamma))
+    def on_phase(batch, bootstrap):
+        phases.append(make_supervised_row(batch, bootstrap, hp.gamma))
         # refit on the whole accumulated buffer so rare early events (the
         # crash states the gate must recognise) stay in the regression
         # distribution for the entire run

@@ -133,7 +133,7 @@ class TestErrorReporting:
         ("sim", "speed_limit", 10**400),
         ("hyper", "total_steps", 500),
         ("s2cd", "dual_source", "false"), ("hyper", "lr_decay", "no"),
-        ("s2cd", "sample_actions", 0), ("sim", "seed", "x"),
+        ("s2cd", "adaptive_clip", 0), ("sim", "seed", "x"),
     ])
     def test_malformed_numbers_rejected_before_outputs(self, tmp_path, capsys,
                                                        section, key, value):
@@ -224,6 +224,23 @@ class TestErrorReporting:
         assert main(["evaluate", "--checkpoint", str(ckpt), "--out", str(out)]) == 2
         assert not out.exists()
         assert f"config error: {ckpt / name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", [None, 5])
+    def test_evaluate_checkpoint_kind_is_never_guessed(self, tmp_path, capsys, teacher_dir,
+                                                       kind):
+        # a teacher bundle that lost its quality_tag is not a student run
+        ckpt = tmp_path / "bundle"
+        shutil.copytree(teacher_dir / "seed_1" / "bundle", ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        del manifest["quality_tag"]
+        if kind is not None:
+            manifest["kind"] = kind
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"config error: {ckpt / 'manifest.json'}" in err and "'kind'" in err
 
     @pytest.mark.parametrize("name", ["manifest.json", "actor.json"])
     def test_student_malformed_bundle_is_a_config_error(self, tmp_path, capsys, teacher_dir,

@@ -8,7 +8,6 @@ from s2cd.mdp_interface import HighwayEnv, RewardBreakdown
 from s2cd.ppo_core import (
     HyperParams,
     RolloutBuffer,
-    Transition,
     TrainingAborted,
     compute_gae,
     evaluate_actor,
@@ -167,11 +166,12 @@ class TestComputeGae:
 def finalize_reference(rows, hp, bootstrap_value):
     """Row-by-row advantages and returns as the separate S2CD buffer
     computed them: GAE over the executed rows, a one-step TD residual for
-    each synthetic row at the executed row before it."""
-    executed = [r for r in rows if r.executed]
-    rewards = np.array([r.reward for r in executed])
-    values = np.array([r.value for r in executed])
-    dones = np.array([r.done for r in executed], dtype=bool)
+    each synthetic row at the executed row before it. ``rows`` are the
+    dicts given to ``RolloutBuffer.add``."""
+    executed = [r for r in rows if r["executed"]]
+    rewards = np.array([r["rewards"] for r in executed])
+    values = np.array([r["values"] for r in executed])
+    dones = np.array([r["dones"] for r in executed], dtype=bool)
     adv_exec, ret_exec = compute_gae(rewards, values, dones, hp.gamma, hp.gae_lambda,
                                      bootstrap_value)
     next_values = np.append(values[1:], bootstrap_value)
@@ -179,16 +179,22 @@ def finalize_reference(rows, hp, bootstrap_value):
     ret = np.zeros(len(rows))
     i = -1
     for j, row in enumerate(rows):
-        if row.executed:
+        if row["executed"]:
             i += 1
             adv[j] = adv_exec[i]
             ret[j] = ret_exec[i]
         else:
             nonterminal = 0.0 if dones[i] else 1.0
-            td = row.reward + hp.gamma * next_values[i] * nonterminal - values[i]
+            td = row["rewards"] + hp.gamma * next_values[i] * nonterminal - values[i]
             adv[j] = td
             ret[j] = td + values[i]
     return normalize_advantages(adv), ret
+
+
+def buffer_row(rng, action=0, executed=True, value=0.0, done=False):
+    return {"obs": rng.uniform(0, 1, size=2), "actions": action,
+            "logprob_old": float(rng.normal()), "rewards": float(rng.normal()),
+            "values": value, "dones": done, "executed": executed}
 
 
 class TestRolloutBuffer:
@@ -197,26 +203,48 @@ class TestRolloutBuffer:
         rng = np.random.default_rng(5)
         for trial in range(300):
             buffer = RolloutBuffer()
+            rows = []
             for _ in range(int(rng.integers(1, 40))):
                 value, done = float(rng.normal()), bool(rng.random() < 0.1)
-                buffer.add(Transition(obs=np.zeros(2), action=0, logprob_old=0.0,
-                                      reward=float(rng.normal()), value=value, done=done))
+                rows.append(buffer_row(rng, value=value, done=done))
                 if trial % 2 and rng.random() < 0.5:
-                    buffer.add(Transition(obs=np.zeros(2), action=1, logprob_old=0.0,
-                                          reward=float(rng.normal()), value=value,
-                                          done=done, executed=False))
+                    rows.append(buffer_row(rng, action=1, executed=False, value=value,
+                                           done=done))
+            for row in rows:
+                buffer.add(**row)
             bootstrap = float(rng.normal())
-            buffer.finalize(hp, bootstrap)
-            adv, ret = finalize_reference(buffer.rows, hp, bootstrap)
-            assert buffer.advantages.tobytes() == adv.tobytes()
-            assert buffer.returns.tobytes() == ret.tobytes()
+            batch = buffer.finalize(hp, bootstrap)
+            adv, ret = finalize_reference(rows, hp, bootstrap)
+            assert batch["advantages"].tobytes() == adv.tobytes()
+            assert batch["returns"].tobytes() == ret.tobytes()
+            # every column comes back in row order
+            assert batch["obs"].tobytes() == np.stack([r["obs"] for r in rows]).tobytes()
+            assert batch["actions"].dtype == np.int64
+            for key in ("actions", "logprob_old", "rewards", "values", "dones", "executed"):
+                assert batch[key].tolist() == [r[key] for r in rows]
             if trial % 2 == 0:  # executed rows only: plain PPO's GAE targets
-                rows = buffer.rows
                 gae_adv, gae_ret = compute_gae(
-                    np.array([r.reward for r in rows]), np.array([r.value for r in rows]),
-                    np.array([r.done for r in rows]), hp.gamma, hp.gae_lambda, bootstrap)
-                assert buffer.advantages.tobytes() == normalize_advantages(gae_adv).tobytes()
-                assert buffer.returns.tobytes() == gae_ret.tobytes()
+                    batch["rewards"], batch["values"], batch["dones"], hp.gamma,
+                    hp.gae_lambda, bootstrap)
+                assert batch["advantages"].tobytes() == normalize_advantages(gae_adv).tobytes()
+                assert batch["returns"].tobytes() == gae_ret.tobytes()
+
+    @pytest.mark.parametrize("change", ["missing", "extra", "renamed"])
+    def test_row_with_other_columns_rejected(self, change):
+        rng = np.random.default_rng(0)
+        buffer = RolloutBuffer()
+        buffer.add(**buffer_row(rng))
+        row = buffer_row(rng)
+        if change == "missing":
+            del row["executed"]
+        elif change == "extra":
+            row["eps_prime"] = 0.1
+        else:
+            row["action"] = row.pop("actions")
+        with pytest.raises(ValueError, match="columns"):
+            buffer.add(**row)
+        # the rejected row left every column as it was
+        assert buffer.finalize(HyperParams(), 0.0)["actions"].tolist() == [0]
 
 
 def make_batch(seed=0, n=48, obs_dim=6):
@@ -367,14 +395,16 @@ class TestTrainPpo:
     def test_on_phase_sees_each_finalized_phase_once(self):
         seen = []
 
-        def on_phase(buffer, bootstrap):
-            seen.append((len(buffer), len(buffer.advantages), len(buffer.returns)))
+        def on_phase(batch, bootstrap):
+            seen.append({key: len(column) for key, column in batch.items()})
             assert math.isfinite(bootstrap) and bootstrap != 0.0  # phases end mid-episode
 
         hp = HyperParams(rollout_steps=110, total_steps=330, minibatch=32, update_epochs=1)
         observed = train_ppo(RandomObsEnv(seed=4), hp, seed=6, on_phase=on_phase)
         plain = train_ppo(RandomObsEnv(seed=4), hp, seed=6)
-        assert seen == [(110, 110, 110)] * 3
+        columns = ("obs", "actions", "logprob_old", "rewards", "values", "dones",
+                   "executed", "advantages", "returns")
+        assert seen == [dict.fromkeys(columns, 110)] * 3
         assert [m.row() for m in observed.metrics] == [m.row() for m in plain.metrics]
 
     @pytest.mark.slow

@@ -6,12 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from s2cd.highway_sim import SimConfig, StepEvents
 from s2cd.mdp_interface import HighwayEnv, RewardBreakdown
-from s2cd.ppo_core import EpisodeTracker, HyperParams, normalize_advantages, ppo_loss
+from s2cd.ppo_core import (
+    EpisodeTracker,
+    HyperParams,
+    RolloutBuffer,
+    normalize_advantages,
+    ppo_loss,
+)
 from s2cd.s2cd_engine import (
     CollectorState,
-    DualRolloutBuffer,
-    DualTransition,
-    Origin,
     S2cdHyper,
     SwitchConfig,
     TeacherAugmentedEnv,
@@ -62,22 +65,18 @@ class TestDecayTau:
 
 class TestSwitchAction:
     def test_tau_one_zero_threshold(self):
-        origin, intervened = switch_action(0.01, 0.0, tau=1.0, cfg=CFG)
-        assert intervened and origin is Origin.TEACHER
+        assert switch_action(0.01, 0.0, tau=1.0, cfg=CFG) is True
 
     def test_tau_zero_full_tolerance(self):
-        origin, intervened = switch_action(0.3, 0.0, tau=0.0, cfg=CFG)
-        assert not intervened and origin is Origin.STUDENT
+        assert switch_action(0.3, 0.0, tau=0.0, cfg=CFG) is False
 
     def test_threshold_boundary(self):
         # tau = 0.5 gives threshold 0.25
-        _, hit = switch_action(0.2500001, 0.0, tau=0.5, cfg=CFG)
-        _, miss = switch_action(0.2499999, 0.0, tau=0.5, cfg=CFG)
-        assert hit and not miss
+        assert switch_action(0.2500001, 0.0, tau=0.5, cfg=CFG) is True
+        assert switch_action(0.2499999, 0.0, tau=0.5, cfg=CFG) is False
 
     def test_equal_q_never_intervenes(self):
-        _, intervened = switch_action(1.0, 1.0, tau=1.0, cfg=CFG)
-        assert not intervened
+        assert switch_action(1.0, 1.0, tau=1.0, cfg=CFG) is False
 
     @given(st.integers(min_value=0, max_value=400))
     @settings(max_examples=60, deadline=None)
@@ -310,11 +309,14 @@ class FakeTeacherEnv:
 
 
 def actor_preferring(action, obs_dim=14, seed=0):
+    """A saturated actor: every other action has probability exp(-40),
+    far below the 2**-53 step of the sampler's uniform draw, so sampling
+    returns ``action`` unless that draw is exactly 0."""
     net = DenseNet.create(NetSpec(obs_dim, 3, head=Head.SOFTMAX_POLICY),
                           np.random.default_rng(seed))
     n_last = (64 + 1) * 3
     net.params[-n_last:] = 0.0
-    net.params[-3 + action] = 8.0
+    net.params[-3 + action] = 40.0
     return net
 
 
@@ -323,49 +325,50 @@ class TestCollectDual:
         critic = DenseNet.create(NetSpec(14, 1, head=Head.SCALAR_VALUE),
                                  np.random.default_rng(1))
         rng = np.random.default_rng(2)
-        buffer = DualRolloutBuffer()
+        buffer = RolloutBuffer()
         state = CollectorState(obs=env.reset())
         stats = collect_dual(env, actor, critic, hp, CFG, rng, steps, state, buffer)
-        return buffer, stats
+        return buffer.finalize(hp, 0.0), stats
 
     def test_always_intervening_teacher_single_row_per_step(self):
         env = FakeTeacherEnv(q_pred=[10.0, 0.0, 0.0], teacher_action=0)
         actor = actor_preferring(2)
-        hp = S2cdHyper(sample_actions=False)
-        buffer, stats = self.run_collect(env, actor, hp)
+        batch, stats = self.run_collect(env, actor, S2cdHyper())
         assert stats.intervention_rate == 1.0
-        assert len(buffer) == stats.steps  # duplicate suppressed
-        assert all(r.origin is Origin.TEACHER for r in buffer.rows)
-        assert all(r.executed for r in buffer.rows)
+        # duplicate suppressed: one executed teacher row per step
+        assert batch["teacher_origin"].tolist() == [True] * stats.steps
+        assert batch["executed"].tolist() == [True] * stats.steps
+        assert batch["actions"].tolist() == [0] * stats.steps
 
     def test_disagreeing_tolerated_teacher_two_rows_per_step(self):
         env = FakeTeacherEnv(q_pred=[0.0, 0.0, 0.0], teacher_action=0)
         actor = actor_preferring(2)
-        hp = S2cdHyper(sample_actions=False)
-        buffer, stats = self.run_collect(env, actor, hp)
+        batch, stats = self.run_collect(env, actor, S2cdHyper())
         assert stats.intervention_rate == 0.0
-        assert len(buffer) == 2 * stats.steps
-        synthetic = [r for r in buffer.rows if not r.executed]
-        assert len(synthetic) == stats.steps
-        assert all(r.origin is Origin.TEACHER for r in synthetic)
-        assert all(r.reward == pytest.approx(0.25) for r in synthetic)
+        assert stats.synthetic_rows == stats.steps
+        # each executed student row is followed by the teacher's synthetic row
+        assert batch["executed"].tolist() == [True, False] * stats.steps
+        assert batch["teacher_origin"].tolist() == [False, True] * stats.steps
+        assert batch["actions"].tolist() == [2, 0] * stats.steps
+        synthetic = ~batch["executed"]
+        assert np.all(batch["rewards"][synthetic] == 0.25)
+        assert np.all(batch["teacher_probs"][:, 0] == 0.98)
 
     def test_dual_source_off_single_row(self):
         env = FakeTeacherEnv(q_pred=[0.0, 0.0, 0.0], teacher_action=0)
         actor = actor_preferring(2)
-        hp = S2cdHyper(sample_actions=False, dual_source=False)
-        buffer, stats = self.run_collect(env, actor, hp)
-        assert len(buffer) == stats.steps
-        assert all(r.origin is Origin.STUDENT for r in buffer.rows)
+        batch, stats = self.run_collect(env, actor, S2cdHyper(dual_source=False))
+        assert stats.synthetic_rows == 0
+        assert batch["executed"].tolist() == [True] * stats.steps
+        assert batch["teacher_origin"].tolist() == [False] * stats.steps
 
     def test_intervention_rate_is_exact_count(self):
         env = FakeTeacherEnv(q_pred=[0.4, 0.0, 0.0], teacher_action=0)
         actor = DenseNet.create(NetSpec(14, 3, head=Head.SOFTMAX_POLICY),
                                 np.random.default_rng(3))
-        hp = S2cdHyper()
-        buffer, stats = self.run_collect(env, actor, hp, steps=200)
-        executed = [r for r in buffer.rows if r.executed]
-        n_teacher_exec = sum(r.origin is Origin.TEACHER for r in executed)
+        batch, stats = self.run_collect(env, actor, S2cdHyper(), steps=200)
+        n_teacher_exec = int((batch["teacher_origin"] & batch["executed"]).sum())
+        assert 0 < n_teacher_exec < 200
         assert stats.interventions == n_teacher_exec
         assert stats.intervention_rate == pytest.approx(n_teacher_exec / 200.0)
 
@@ -373,20 +376,18 @@ class TestCollectDual:
 class TestDualBuffer:
     def test_synthetic_advantage_is_td_with_predicted_reward(self):
         hp = S2cdHyper()
-        buffer = DualRolloutBuffer()
+        buffer = RolloutBuffer()
         obs = np.zeros(14)
         probs = np.full(3, 1.0 / 3.0)
         # two executed steps with a synthetic alternative at step 0
-        buffer.add(DualTransition(obs=obs, action=0, reward=1.0, origin=Origin.STUDENT,
-                                  teacher_probs=probs, logprob_old=-1.0, eps_prime=0.1,
-                                  value=0.5, done=False, executed=True))
-        buffer.add(DualTransition(obs=obs, action=1, reward=0.3, origin=Origin.TEACHER,
-                                  teacher_probs=probs, logprob_old=-1.0, eps_prime=0.1,
-                                  value=0.5, done=False, executed=False))
-        buffer.add(DualTransition(obs=obs, action=2, reward=0.0, origin=Origin.STUDENT,
-                                  teacher_probs=probs, logprob_old=-1.0, eps_prime=0.1,
-                                  value=0.2, done=True, executed=True))
-        buffer.finalize(hp, bootstrap_value=9.9)
+        for action, reward, origin, value, done, executed in [
+                (0, 1.0, False, 0.5, False, True),
+                (1, 0.3, True, 0.5, False, False),
+                (2, 0.0, False, 0.2, True, True)]:
+            buffer.add(obs=obs, actions=action, logprob_old=-1.0, rewards=reward,
+                       values=value, dones=done, executed=executed,
+                       teacher_origin=origin, eps_prime=0.1, teacher_probs=probs)
+        batch = buffer.finalize(hp, bootstrap_value=9.9)
 
         # raw (pre-normalization) oracle values
         gamma, lam = hp.gamma, hp.gae_lambda
@@ -396,7 +397,11 @@ class TestDualBuffer:
         syn = 0.3 + gamma * 0.2 - 0.5
         raw = np.array([adv0, syn, delta1])
         expected = (raw - raw.mean()) / (raw.std() + 1e-8)
-        assert np.allclose(buffer.advantages, expected, atol=1e-12)
+        assert np.allclose(batch["advantages"], expected, atol=1e-12)
+        # the student's three columns ride along in row order
+        assert batch["teacher_origin"].tolist() == [False, True, False]
+        assert batch["eps_prime"].tolist() == [0.1] * 3
+        assert batch["teacher_probs"].shape == (3, 3)
 
 
 class TestTeacherAugmentedEnv:

@@ -3,7 +3,7 @@ import pytest
 
 from s2cd.highway_sim import SimConfig
 from s2cd.mdp_interface import HighwayEnv
-from s2cd.ppo_core import HyperParams, RolloutBuffer, Transition
+from s2cd.ppo_core import HyperParams, RolloutBuffer
 from s2cd.teacher_suite import (
     Advice,
     TeacherBundle,
@@ -54,11 +54,11 @@ def finalized_phase(dones, bootstrap, gamma=0.96):
     """Regression columns of a hand-built, finalized four-row phase."""
     buffer = RolloutBuffer()
     for t in range(4):
-        buffer.add(Transition(obs=np.full(11, t / 4), action=t % 3, logprob_old=-1.0,
-                              reward=SUPERVISED_REWARDS[t], value=SUPERVISED_VALUES[t],
-                              done=dones[t]))
-    buffer.finalize(HyperParams(gamma=gamma), bootstrap)
-    return make_supervised_row(buffer, bootstrap, gamma)
+        buffer.add(obs=np.full(11, t / 4), actions=t % 3, logprob_old=-1.0,
+                   rewards=SUPERVISED_REWARDS[t], values=SUPERVISED_VALUES[t],
+                   dones=dones[t], executed=True)
+    batch = buffer.finalize(HyperParams(gamma=gamma), bootstrap)
+    return make_supervised_row(batch, bootstrap, gamma)
 
 
 class TestSupervisedRow:
