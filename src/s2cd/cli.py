@@ -22,7 +22,8 @@ from .highway_sim import SimConfig, check_number_fields
 from .mdp_interface import OBS_DIM, HighwayEnv, RewardConfig
 from .ppo_core import HyperParams, TrainingAborted, evaluate_actor, train_ppo
 from .s2cd_engine import S2cdHyper, SwitchConfig, TeacherAugmentedEnv, train_s2cd
-from .teacher_suite import load_bundle, save_bundle, teacher_hyper, train_teacher
+from .teacher_suite import (QUALITY_TAGS, load_bundle, save_bundle, teacher_hyper,
+                            train_teacher)
 from .tensor_nn import json_field, load_net, save_net, write_atomic
 from .theory_validation import run_sweep
 
@@ -143,7 +144,7 @@ def load_config(path: str | None, command: str) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown keys in 'config': {sorted(unknown)}")
     quality = cfg.get("quality", "high")
-    if quality not in ("high", "low", "complex"):
+    if quality not in QUALITY_TAGS:
         raise ConfigError(f"unknown teacher quality {quality!r}")
     seeds = cfg.get("seeds", DESK_SEEDS)
     if not isinstance(seeds, list) or not seeds or not all(_is_int(s, 0) for s in seeds):
@@ -155,7 +156,7 @@ def load_config(path: str | None, command: str) -> RunConfig:
     hyper_keys = [f.name for f in dataclass_fields(HyperParams)]
     return RunConfig(
         snapshot=cfg,
-        sim=SimConfig(**_section(cfg, "sim", SimConfig, skip=("seed",))),
+        sim=SimConfig(**_section(cfg, "sim", SimConfig)),
         reward=RewardConfig(**_section(cfg, "reward", RewardConfig)),
         hyper=HyperParams(**hyper),
         s2cd=S2cdHyper(**hyper, **_section(cfg, "s2cd", S2cdHyper, skip=hyper_keys)),
@@ -186,6 +187,13 @@ def _start_outputs(args, run: RunConfig) -> Path:
     return out
 
 
+def _eval_env(run: RunConfig, seed: int, bundle=None):
+    """The greedy-evaluation env of ``seed``, on an episode stream apart from
+    training's; with a teacher bundle its observations carry the advice."""
+    env = HighwayEnv(run.sim, run.reward, master_seed=EVAL_SEED_OFFSET + seed)
+    return env if bundle is None else TeacherAugmentedEnv(env, bundle)
+
+
 def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
     """One row per dict, floats written with their round-trip repr."""
     text = io.StringIO()
@@ -206,8 +214,8 @@ def cmd_train_teacher(args) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
         env = HighwayEnv(run.sim, run.reward, master_seed=seed)
         bundle, result = train_teacher(env, run.hyper, quality=run.quality, seed=seed)
-        eval_env = HighwayEnv(run.sim, run.reward, master_seed=EVAL_SEED_OFFSET + seed)
-        summary = evaluate_actor(eval_env, bundle.actor, episodes=run.eval_episodes)
+        summary = evaluate_actor(_eval_env(run, seed), bundle.actor,
+                                 episodes=run.eval_episodes)
         bundle.meta["eval_success"] = summary["success_rate"]
         save_bundle(bundle, run_dir / "bundle")
         _write_csv(run_dir / "metrics.csv", [m.row() for m in result.metrics], PPO_COLUMNS)
@@ -236,7 +244,7 @@ def cmd_train_student(args) -> int:
 
     baseline = getattr(args, "baseline", False)
     if baseline:
-        hp = run.hyper
+        hp, bundle = run.hyper, None
     else:
         if args.bundle is None:
             raise ConfigError("train-student requires --bundle (or --baseline)")
@@ -251,25 +259,18 @@ def cmd_train_student(args) -> int:
         run_dir = out / f"seed_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         env = HighwayEnv(run.sim, run.reward, master_seed=seed)
-        eval_env = HighwayEnv(run.sim, run.reward, master_seed=EVAL_SEED_OFFSET + seed)
         if baseline:
             result = train_ppo(env, hp, seed=seed)
-            rows = [m.row() for m in result.metrics]
-            columns = PPO_COLUMNS
-            summary = evaluate_actor(eval_env, result.actor, run.eval_episodes)
-            manifest = {"kind": "ppo_baseline", "seed": seed,
-                        "total_steps": hp.total_steps,
-                        "eval_success": summary["success_rate"]}
+            columns, manifest = PPO_COLUMNS, {"kind": "ppo_baseline"}
         else:
             result = train_s2cd(env, bundle, hp, run.switch, seed=seed)
-            rows = [m.row() for m in result.metrics]
             columns = S2CD_COLUMNS
-            summary = evaluate_actor(TeacherAugmentedEnv(eval_env, bundle), result.actor,
-                                     run.eval_episodes)
-            manifest = {"kind": "s2cd_student", "seed": seed,
-                        "total_steps": hp.total_steps,
-                        "ablations": args.ablate or "",
-                        "eval_success": summary["success_rate"]}
+            manifest = {"kind": "s2cd_student", "ablations": args.ablate or ""}
+        rows = [m.row() for m in result.metrics]
+        summary = evaluate_actor(_eval_env(run, seed, bundle), result.actor, run.eval_episodes)
+        manifest.update(seed=seed, total_steps=hp.total_steps,
+                        eval_success=summary["success_rate"])
+        if bundle is not None:
             save_bundle(bundle, run_dir / "bundle")
         save_net(result.actor, run_dir / "actor.json")
         save_net(result.critic, run_dir / "critic.json")
@@ -288,17 +289,16 @@ def _load_checkpoint(path: Path):
     if not isinstance(manifest, dict):
         raise ValueError(f"{manifest_path}: not a JSON object")
     if "quality_tag" in manifest:
-        bundle = load_bundle(path)
-        return "teacher", bundle.actor, None, manifest
+        return "teacher", load_bundle(path).actor, None
     kind = json_field(manifest, "kind", str, manifest_path)
     actor = load_net(path / "actor.json")
     bundle = load_bundle(path / "bundle") if (path / "bundle").exists() else None
-    return kind, actor, bundle, manifest
+    return kind, actor, bundle
 
 
 def cmd_evaluate(args) -> int:
     run = load_config(args.config, "evaluate")
-    kind, actor, bundle, manifest = _load_checkpoint(Path(args.checkpoint))
+    kind, actor, bundle = _load_checkpoint(Path(args.checkpoint))
     if bundle is not None and bundle.input_dim != OBS_DIM:
         raise ConfigError("checkpoint bundle does not match the eval environment")
     if bundle is None and actor.spec.input_dim != OBS_DIM:
@@ -308,10 +308,8 @@ def cmd_evaluate(args) -> int:
     per_seed = []
     episodes = []
     for seed in run.seeds:
-        env = HighwayEnv(run.sim, run.reward, master_seed=EVAL_SEED_OFFSET + seed)
-        if bundle is not None:
-            env = TeacherAugmentedEnv(env, bundle)
-        summary = evaluate_actor(env, actor, episodes=run.eval_episodes)
+        summary = evaluate_actor(_eval_env(run, seed, bundle), actor,
+                                 episodes=run.eval_episodes)
         for i, ep in enumerate(summary.pop("episodes")):
             episodes.append({"seed": seed, "episode": i, **ep, "success": int(ep["success"])})
         per_seed.append({"seed": seed, **summary})

@@ -25,7 +25,6 @@ from operator import attrgetter
 import numpy as np
 
 from .lowlevel_control import (
-    IdmParams,
     LATERAL_GAINS,
     LanePath,
     PidState,
@@ -115,7 +114,6 @@ class SimConfig:
     density: Density = Density.MEDIUM
     episode_length: float = 1000.0
     sensor_range: float = 50.0
-    seed: int = 0
     sim_dt: float | None = None
     decisions_per_second: float | None = None
 
@@ -126,9 +124,6 @@ class SimConfig:
             self.sim_dt = 0.1 if self.fidelity is Fidelity.SIMPLE else 0.05
         if self.decisions_per_second is None:
             self.decisions_per_second = 2.0 if self.fidelity is Fidelity.SIMPLE else 20.0
-        self.validate()
-
-    def validate(self) -> None:
         check_number_fields(self)
         for name in ("decisions_per_second", "speed_limit", "episode_length", "lane_width"):
             if not getattr(self, name) > 0:
@@ -139,8 +134,6 @@ class SimConfig:
             raise ValueError("sim_dt must be positive")
         if self.sensor_range <= 0:
             raise ValueError("sensor_range must be positive")
-        if self.density not in SPACING_BY_DENSITY:
-            raise ValueError(f"unknown density {self.density}")
         if self.substeps_per_decision < 1:
             raise ValueError("decision interval must cover at least one sim step")
         interval = 1.0 / self.decisions_per_second
@@ -165,8 +158,7 @@ class LaneChangeManeuver:
 
     source_lane: int
     target_lane: int
-    # simple fidelity: integer substep schedule
-    substeps_total: int = 0
+    # simple fidelity: substeps done of the two-decision schedule
     substeps_done: int = 0
     # complex fidelity: planned path plus controller state
     path: LanePath | None = None
@@ -185,7 +177,6 @@ class VehicleState:
     is_ego: bool = False
     lane_change: LaneChangeManeuver | None = None
     cooldown_until: float = 0.0
-    idm: IdmParams = field(default_factory=IdmParams)
 
 
 @dataclass
@@ -215,18 +206,17 @@ class StepEvents:
     command_degraded: bool = False
 
 
-def spawn_scenario(config: SimConfig) -> WorldState:
+def spawn_scenario(config: SimConfig, seed: int) -> WorldState:
     """Build the initial world: ego mid-lane in the center lane at x=0, all
-    speeds zero, traffic placed ahead with density-driven uniform spacing."""
-    config.validate()
-    rng = np.random.default_rng(config.seed)
+    speeds zero, traffic placed ahead with density-driven uniform spacing
+    drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
     lo, hi = SPACING_BY_DENSITY[config.density]
     ego_lane = config.lanes_count // 2
 
     ego = VehicleState(
         id=0, longitudinal_pos=0.0, lane_index=ego_lane, lateral_offset=0.0,
         speed=0.0, target_speed=config.speed_limit, is_ego=True,
-        idm=IdmParams(v0=config.speed_limit),
     )
     vehicles = [ego]
     next_id = 1
@@ -245,7 +235,6 @@ def spawn_scenario(config: SimConfig) -> WorldState:
             vehicles.append(VehicleState(
                 id=next_id, longitudinal_pos=pos, lane_index=lane,
                 lateral_offset=0.0, speed=0.0, target_speed=target,
-                idm=IdmParams(v0=target),
             ))
             next_id += 1
 
@@ -293,10 +282,8 @@ def step(world: WorldState, ego_command: Action) -> tuple[WorldState, StepEvents
 
 def _begin_lane_change(cfg: SimConfig, vehicle: VehicleState, target: int) -> None:
     if cfg.fidelity is Fidelity.SIMPLE:
-        vehicle.lane_change = LaneChangeManeuver(
-            source_lane=vehicle.lane_index, target_lane=target,
-            substeps_total=2 * cfg.substeps_per_decision,
-        )
+        vehicle.lane_change = LaneChangeManeuver(source_lane=vehicle.lane_index,
+                                                 target_lane=target)
     else:
         y = cfg.lane_center(vehicle.lane_index) + vehicle.lateral_offset
         waypoints = plan_lane_change(vehicle.longitudinal_pos, y, vehicle.lane_index,
@@ -335,7 +322,7 @@ def _leader_accel(cfg: SimConfig, vehicles: list[VehicleState], lane: int,
     lead, gap, _, _ = _neighbours(vehicles, lane, vehicle)
     if lead is None or gap > cfg.sensor_range:
         return accel
-    other = idm_accel(vehicle.speed, lead.speed, max(gap, 0.1), vehicle.idm)
+    other = idm_accel(vehicle.speed, lead.speed, max(gap, 0.1), vehicle.target_speed)
     return accel if accel is not None and accel <= other else other
 
 
@@ -359,13 +346,15 @@ def _accelerations(cfg: SimConfig, vehicles: list[VehicleState]) -> list[float]:
             if lead.longitudinal_pos > x:
                 gap = lead.longitudinal_pos - x - VEHICLE_LENGTH
                 if gap <= sensor:
-                    accel = idm_accel(v.speed, lead.speed, 0.1 if 0.1 > gap else gap, v.idm)
+                    accel = idm_accel(v.speed, lead.speed, 0.1 if 0.1 > gap else gap,
+                                      v.target_speed)
                 break
             j += 1
         lc = v.lane_change
         if lc is not None and lc.target_lane != lane:
             accel = _leader_accel(cfg, vehicles, lc.target_lane, v, accel)
-        accels.append(idm_accel(v.speed, v.speed, math.inf, v.idm) if accel is None else accel)
+        accels.append(idm_accel(v.speed, v.speed, math.inf, v.target_speed)
+                      if accel is None else accel)
     return accels
 
 
@@ -398,12 +387,13 @@ def _advance_substep(world: WorldState, traffic_decides: bool) -> None:
 def _advance_simple_maneuver(cfg: SimConfig, v: VehicleState) -> None:
     lc = v.lane_change
     lc.substeps_done += 1
-    if lc.substeps_done >= lc.substeps_total:
+    substeps_total = 2 * cfg.substeps_per_decision
+    if lc.substeps_done >= substeps_total:
         v.lane_index = lc.target_lane
         v.lateral_offset = 0.0
         v.lane_change = None
         return
-    frac = lc.substeps_done / lc.substeps_total
+    frac = lc.substeps_done / substeps_total
     y_src = cfg.lane_center(lc.source_lane)
     y_tgt = cfg.lane_center(lc.target_lane)
     y = y_src + frac * (y_tgt - y_src)
@@ -477,9 +467,10 @@ def _mobil_lane_choice(cfg: SimConfig, vehicles: list, vehicle: VehicleState, ac
             continue
         # front_gap exceeds the safety gap, so the 0.1 m IDM gap floor cannot bind
         if lead is not None and front_gap <= cfg.sensor_range:
-            cand_accel = idm_accel(vehicle.speed, lead.speed, front_gap, vehicle.idm)
+            cand_accel = idm_accel(vehicle.speed, lead.speed, front_gap, vehicle.target_speed)
         else:
-            cand_accel = idm_accel(vehicle.speed, vehicle.speed, math.inf, vehicle.idm)
+            cand_accel = idm_accel(vehicle.speed, vehicle.speed, math.inf,
+                                   vehicle.target_speed)
         gain = cand_accel - accel
         if gain > best_gain:
             best_gain = gain

@@ -6,7 +6,7 @@ PID controller used for lateral path tracking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 # Hard deceleration floor. Unbounded IDM braking at tiny gaps destabilises
@@ -14,39 +14,31 @@ from dataclasses import dataclass, field
 BRAKE_FLOOR = -9.0
 
 
-@dataclass(frozen=True)
-class IdmParams:
-    """Intelligent Driver Model constants."""
-
-    zeta: float = 4.0      # acceleration exponent
-    v0: float = 25.0       # desired speed, m/s
-    T: float = 0.6         # desired time gap, s
-    s0: float = 2.0        # standstill distance, m
-    a_max: float = 2.0     # maximal acceleration, m/s^2
-    b_comf: float = 2.0    # comfortable deceleration, m/s^2
-    # 2 * sqrt(a_max * b_comf), the denominator of the dynamic gap term
-    brake_scale: float = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        for name in ("zeta", "v0", "T", "s0", "a_max", "b_comf"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"IdmParams.{name} must be positive")
-        object.__setattr__(self, "brake_scale", 2.0 * math.sqrt(self.a_max * self.b_comf))
+# Intelligent Driver Model constants, shared by every vehicle; the desired
+# speed is each vehicle's own and is passed to ``idm_accel``.
+IDM_ZETA = 4.0      # acceleration exponent
+IDM_T = 0.6         # desired time gap, s
+IDM_S0 = 2.0        # standstill distance, m
+IDM_A_MAX = 2.0     # maximal acceleration, m/s^2
+IDM_B_COMF = 2.0    # comfortable deceleration, m/s^2
+# 2 * sqrt(a_max * b_comf), the denominator of the dynamic gap term
+IDM_BRAKE_SCALE = 2.0 * math.sqrt(IDM_A_MAX * IDM_B_COMF)
 
 
-def idm_accel(v_e: float, v_lead: float, gap: float, p: IdmParams = IdmParams()) -> float:
-    """Longitudinal acceleration command for a follower.
+def idm_accel(v_e: float, v_lead: float, gap: float, v0: float) -> float:
+    """Longitudinal acceleration command for a follower with desired speed
+    ``v0``.
 
     ``gap`` is the bumper-to-bumper distance to the leader; pass
     ``math.inf`` with ``v_lead == v_e`` for the no-leader case. The result
-    never exceeds ``p.a_max`` and is floored at ``BRAKE_FLOOR``.
+    never exceeds ``IDM_A_MAX`` and is floored at ``BRAKE_FLOOR``.
     """
     if gap <= 0:
         raise ValueError("idm_accel requires a positive gap")
-    desired = p.s0 + v_e * p.T + v_e * (v_e - v_lead) / p.brake_scale
+    desired = IDM_S0 + v_e * IDM_T + v_e * (v_e - v_lead) / IDM_BRAKE_SCALE
     # max(desired, 0.0) and max(acc, BRAKE_FLOOR) without the call overhead
     desired = 0.0 if 0.0 > desired else desired
-    acc = p.a_max * (1.0 - (v_e / p.v0) ** p.zeta - (desired / gap) ** 2)
+    acc = IDM_A_MAX * (1.0 - (v_e / v0) ** IDM_ZETA - (desired / gap) ** 2)
     return BRAKE_FLOOR if BRAKE_FLOOR > acc else acc
 
 

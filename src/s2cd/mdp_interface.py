@@ -8,7 +8,7 @@ term minus a piecewise-linear proximity/collision cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,8 +137,7 @@ class HighwayEnv:
 
     def reset(self) -> np.ndarray:
         self.episode_index += 1
-        self.world = spawn_scenario(replace(self.config,
-                                            seed=self._scenario_seed(self.episode_index)))
+        self.world = spawn_scenario(self.config, self._scenario_seed(self.episode_index))
         return self._observe()
 
     def step(self, action: Action) -> tuple[np.ndarray, RewardBreakdown, StepEvents]:

@@ -181,6 +181,12 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
 
 
+# Adaptive-moment decay rates and the denominator guard.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class OptimState:
     """Adaptive-moment optimizer state."""
@@ -189,9 +195,6 @@ class OptimState:
     v: np.ndarray
     step: int = 0
     base_lr: float = 0.0005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lr_decay: bool = True
 
     @classmethod
@@ -217,11 +220,11 @@ def adamw_step(state: OptimState, params: np.ndarray, grads: np.ndarray,
         raise GradientError(f"{bad} non-finite gradient entries; update aborted")
     lr = state.base_lr * (1.0 - progress) if state.lr_decay else state.base_lr
     state.step += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    return params - lr * (m_hat / (np.sqrt(v_hat) + state.eps))
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    return params - lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS))
 
 
 CHECKPOINT_FORMAT = 1

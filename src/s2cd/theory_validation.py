@@ -272,8 +272,6 @@ class BoundReport:
     j_mix: float
     j_teacher: float
     omega: float
-    avg_teacher_entropy: float   # H under d_mix
-    kappa: float                 # H minus the average KL (reporting only)
     visitation_mass: float       # sum of d_mix, should be 1
 
 
@@ -284,8 +282,7 @@ def check_performance_bound(mdps: Sequence[TabularMdp], teachers: Sequence[np.nd
     per instance.
 
     The right-hand side uses the computable expectation of sqrt(KL) under
-    the mixed policy's visitation; the entropy form substitutes
-    KL = H - kappa, so kappa is reported but carries no independent content.
+    the mixed policy's visitation.
     """
     teachers, students = _validate_all(mdps, teachers), _validate_all(mdps, students)
     results = build_mixed_policy(teachers, students, mdps, tolerance)
@@ -305,16 +302,9 @@ def check_performance_bound(mdps: Sequence[TabularMdp], teachers: Sequence[np.nd
         rhs = (np.sqrt(2.0) * (1.0 - result.omega) * mdp.r_max
                / (1.0 - mdp.gamma) ** 2 * expected_sqrt_kl)
 
-        entropy_per_state = -np.where(teacher > 0,
-                                      teacher * np.log(np.maximum(teacher, 1e-300)),
-                                      0.0).sum(axis=1)
-        avg_entropy = float(result.d_mix @ entropy_per_state)
-        avg_kl = float(result.d_mix @ kl_per_state)
-
         reports.append(BoundReport(
             lhs=lhs, rhs=float(rhs), slack=float(rhs - lhs),
             j_mix=j_mix, j_teacher=j_teacher, omega=result.omega,
-            avg_teacher_entropy=avg_entropy, kappa=avg_entropy - avg_kl,
             visitation_mass=float(result.d_mix.sum()),
         ))
     return reports

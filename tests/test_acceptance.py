@@ -211,7 +211,7 @@ class TestClosedFormValues:
             "C_s(7.5)": (safety_cost(7.5, False), 0.5),
             "tau(30)": (decay_tau(30, SwitchConfig()), 0.5),
             "eps'(equal)": (adaptive_epsilon(0.3, 0.3, 0.2), 0.1),
-            "IDM(0,gap100)": (idm_accel(0.0, 0.0, 100.0), 1.9992),
+            "IDM(0,gap100)": (idm_accel(0.0, 0.0, 100.0, 25.0), 1.9992),
         }
         worst = max(abs(got - want) for got, want in checks.values())
         ok = worst < 1e-9
@@ -283,7 +283,7 @@ class TestTrainingOrderings:
 class TestSimulatorContracts:
     def test_c11_lane_change_and_episode_step_contracts(self):
         # simple lane change: exactly 2 decision steps
-        world = spawn_scenario(SimConfig(fidelity=Fidelity.SIMPLE, seed=0))
+        world = spawn_scenario(SimConfig(fidelity=Fidelity.SIMPLE), 0)
         world.vehicles = [v for v in world.vehicles if v.is_ego]
         world.ego().speed = 20.0
         step(world, Action.LEFT_LANE_CHANGE)
@@ -296,7 +296,7 @@ class TestSimulatorContracts:
         rng = np.random.default_rng(0)
         counts = []
         for trial in range(100):
-            world = spawn_scenario(SimConfig(fidelity=Fidelity.COMPLEX, seed=trial))
+            world = spawn_scenario(SimConfig(fidelity=Fidelity.COMPLEX), trial)
             world.vehicles = [v for v in world.vehicles if v.is_ego]
             ego = world.ego()
             ego.speed = float(rng.uniform(10.0, 25.0))
@@ -312,7 +312,7 @@ class TestSimulatorContracts:
 
         # full-episode decision-step ranges under an always-Follow policy
         def episode_steps(fidelity, seed):
-            world = spawn_scenario(SimConfig(fidelity=fidelity, seed=seed))
+            world = spawn_scenario(SimConfig(fidelity=fidelity), seed)
             n = 0
             while True:
                 _, ev = step(world, Action.FOLLOW)
@@ -332,7 +332,7 @@ class TestSimulatorContracts:
                                 (Density.LOW, 90.0, 120.0)):
             worlds = 1000 if density is Density.HIGH else 334
             for seed in range(worlds):
-                world = spawn_scenario(SimConfig(density=density, seed=seed))
+                world = spawn_scenario(SimConfig(density=density), seed)
                 for lane in range(3):
                     xs = sorted(v.longitudinal_pos for v in world.vehicles
                                 if not v.is_ego and v.lane_index == lane)

@@ -21,7 +21,7 @@ from s2cd.s2cd_engine import S2cdHyper, SwitchConfig
 
 HYPER_KEYS = {f.name for f in fields(HyperParams)}
 SECTIONS = {
-    "sim": [f for f in fields(SimConfig) if f.name != "seed"],
+    "sim": fields(SimConfig),
     "reward": fields(RewardConfig),
     "hyper": fields(HyperParams),
     "s2cd": [f for f in fields(S2cdHyper) if f.name not in HYPER_KEYS],

@@ -5,11 +5,15 @@ spawned world and, after each of up to ``MAX_DECISIONS`` decisions, the
 ``world_hash`` plus every ``StepEvents`` field (floats as ``float.hex``).
 The decisions follow a fixed seeded command sequence in which about
 ``LANE_CHANGE_SHARE`` of the commands are lane changes. Any change to any
-bit of any world along these trajectories fails the test.
+bit of any world along these trajectories fails the test. The cases at
+``FAST_LIMIT`` pin the ego, whose desired speed is the speed limit,
+driving above the traffic's target speeds.
 
 The fixture ``golden_world.json`` was generated before the simulator's
 decision step was rewritten for speed; it pins the behaviour that rewrite
-had to keep. Print the current values with
+had to keep. The ``FAST_LIMIT`` cases were added later, generated on the
+code before the per-vehicle IDM parameters became module constants.
+Print the current values with
 
     PYTHONPATH=src python tests/test_golden_world.py
 """
@@ -38,11 +42,16 @@ FIXTURE = Path(__file__).with_name("golden_world.json")
 MAX_DECISIONS = 300
 LANE_CHANGE_SHARE = 0.15
 SEEDS = (0, 1, 2)
-CASES = [(f, d, s) for f in Fidelity for d in Density for s in SEEDS]
+FAST_LIMIT = 30.0
+# (fidelity, density, seed, speed limit); None keeps the SimConfig default.
+CASES = ([(f, d, s, None) for f in Fidelity for d in Density for s in SEEDS]
+         + [(f, d, 0, FAST_LIMIT) for f in Fidelity for d in Density])
 
 
-def case_key(fidelity: Fidelity, density: Density, seed: int) -> str:
-    return f"{fidelity.value}/{density.value}/{seed}"
+def case_key(fidelity: Fidelity, density: Density, seed: int,
+             speed_limit: float | None) -> str:
+    key = f"{fidelity.value}/{density.value}/{seed}"
+    return key if speed_limit is None else f"{key}/limit={speed_limit!r}"
 
 
 def command_sequence(key: str):
@@ -58,9 +67,11 @@ def command_sequence(key: str):
             yield Action.FOLLOW
 
 
-def trajectory_digest(fidelity: Fidelity, density: Density, seed: int) -> dict:
-    key = case_key(fidelity, density, seed)
-    world = spawn_scenario(SimConfig(fidelity=fidelity, density=density, seed=seed))
+def trajectory_digest(fidelity: Fidelity, density: Density, seed: int,
+                      speed_limit: float | None) -> dict:
+    key = case_key(fidelity, density, seed, speed_limit)
+    limit = {} if speed_limit is None else {"speed_limit": speed_limit}
+    world = spawn_scenario(SimConfig(fidelity=fidelity, density=density, **limit), seed)
     digest = hashlib.sha256(world_hash(world).encode())
     commands = command_sequence(key)
     decisions = 0
@@ -87,10 +98,9 @@ def test_fixture_covers_every_case(golden):
     assert sorted(golden) == sorted(case_key(*case) for case in CASES)
 
 
-@pytest.mark.parametrize("fidelity,density,seed", CASES,
-                         ids=[case_key(*case) for case in CASES])
-def test_trajectory_matches_golden(golden, fidelity, density, seed):
-    assert trajectory_digest(fidelity, density, seed) == golden[case_key(fidelity, density, seed)]
+@pytest.mark.parametrize("case", CASES, ids=[case_key(*case) for case in CASES])
+def test_trajectory_matches_golden(golden, case):
+    assert trajectory_digest(*case) == golden[case_key(*case)]
 
 
 def test_command_sequence_lane_change_share():

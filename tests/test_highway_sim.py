@@ -19,8 +19,8 @@ from s2cd.highway_sim import (
 )
 
 
-def make_config(fidelity=Fidelity.SIMPLE, density=Density.MEDIUM, seed=0, **kw):
-    return SimConfig(fidelity=fidelity, density=density, seed=seed, **kw)
+def make_config(fidelity=Fidelity.SIMPLE, density=Density.MEDIUM, **kw):
+    return SimConfig(fidelity=fidelity, density=density, **kw)
 
 
 def clear_traffic(world):
@@ -32,7 +32,7 @@ class TestSpawn:
     def test_medium_density_per_lane_counts(self):
         counts = []
         for seed in range(30):
-            world = spawn_scenario(make_config(seed=seed))
+            world = spawn_scenario(make_config(), seed)
             for lane in range(3):
                 counts.append(sum(1 for v in world.vehicles
                                   if not v.is_ego and v.lane_index == lane))
@@ -41,16 +41,16 @@ class TestSpawn:
         assert 13.0 <= np.mean(counts) <= 17.0
 
     def test_same_seed_bit_identical(self):
-        w1 = spawn_scenario(make_config(seed=123))
-        w2 = spawn_scenario(make_config(seed=123))
+        w1 = spawn_scenario(make_config(), 123)
+        w2 = spawn_scenario(make_config(), 123)
         assert world_hash(w1) == world_hash(w2)
         for a, b in zip(w1.vehicles, w2.vehicles):
             assert (a.id, a.lane_index, a.longitudinal_pos, a.speed, a.target_speed) == \
                    (b.id, b.lane_index, b.longitudinal_pos, b.speed, b.target_speed)
 
     def test_different_seed_differs(self):
-        assert world_hash(spawn_scenario(make_config(seed=1))) != \
-               world_hash(spawn_scenario(make_config(seed=2)))
+        assert world_hash(spawn_scenario(make_config(), 1)) != \
+               world_hash(spawn_scenario(make_config(), 2))
 
     @pytest.mark.parametrize("density,lo,hi", [
         (Density.HIGH, 20.0, 50.0),
@@ -61,7 +61,7 @@ class TestSpawn:
         worlds = 1000 if density is Density.HIGH else 200
         smallest, largest = math.inf, -math.inf
         for seed in range(worlds):
-            world = spawn_scenario(make_config(density=density, seed=seed))
+            world = spawn_scenario(make_config(density=density), seed)
             for lane in range(3):
                 xs = sorted(v.longitudinal_pos for v in world.vehicles
                             if not v.is_ego and v.lane_index == lane)
@@ -73,7 +73,7 @@ class TestSpawn:
         assert largest <= hi
 
     def test_all_speeds_zero_and_ego_centered(self):
-        world = spawn_scenario(make_config(seed=5))
+        world = spawn_scenario(make_config(), 5)
         assert all(v.speed == 0.0 for v in world.vehicles)
         ego = world.ego()
         assert ego.lane_index == 1
@@ -81,14 +81,14 @@ class TestSpawn:
         assert ego.longitudinal_pos == 0.0
 
     def test_traffic_target_speeds_in_range(self):
-        world = spawn_scenario(make_config(seed=9))
+        world = spawn_scenario(make_config(), 9)
         for v in world.vehicles:
             if not v.is_ego:
                 assert 15.0 <= v.target_speed <= 25.0
 
     def test_ego_front_clearance_high_density(self):
         for seed in range(50):
-            world = spawn_scenario(make_config(density=Density.HIGH, seed=seed))
+            world = spawn_scenario(make_config(density=Density.HIGH), seed)
             ego = world.ego()
             ahead = [v.longitudinal_pos for v in world.vehicles
                      if not v.is_ego and v.lane_index == ego.lane_index]
@@ -103,7 +103,7 @@ class TestSpawn:
 
 class TestSimpleLaneChange:
     def test_completes_in_exactly_two_decision_steps(self):
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         ego = world.ego()
         ego.speed = 20.0
         step(world, Action.LEFT_LANE_CHANGE)
@@ -115,7 +115,7 @@ class TestSimpleLaneChange:
         assert ego.lateral_offset == 0.0
 
     def test_second_command_during_maneuver_degrades(self):
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         world.ego().speed = 20.0
         _, ev = step(world, Action.LEFT_LANE_CHANGE)
         assert not ev.command_degraded
@@ -124,7 +124,7 @@ class TestSimpleLaneChange:
         assert world.ego().lane_index == 0
 
     def test_edge_lane_command_degrades_to_follow(self):
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         ego = world.ego()
         ego.lane_index = 0
         _, ev = step(world, Action.LEFT_LANE_CHANGE)
@@ -135,16 +135,28 @@ class TestSimpleLaneChange:
 
 class TestFollowDynamics:
     def test_free_road_holds_speed_limit(self):
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         world.ego().speed = 25.0
         for _ in range(10):
             step(world, Action.FOLLOW)
         assert world.ego().speed == pytest.approx(25.0, abs=1e-9)
 
     def test_accelerates_from_standstill(self):
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         step(world, Action.FOLLOW)
         assert world.ego().speed > 0.5
+
+    def test_lone_traffic_vehicle_settles_at_its_target_speed(self):
+        world = clear_traffic(spawn_scenario(make_config(), 0))
+        v = VehicleState(id=11, longitudinal_pos=100.0, lane_index=0, lateral_offset=0.0,
+                         speed=10.0, target_speed=20.0)
+        world.vehicles.append(v)
+        world.vehicles.sort(key=lambda u: (u.lane_index, u.longitudinal_pos))
+        for _ in range(60):
+            step(world, Action.FOLLOW)
+            assert v.speed <= 20.0
+        assert v.lane_index == 0
+        assert v.speed == pytest.approx(20.0, abs=0.05)
 
 
 class TestComplexLaneChange:
@@ -152,8 +164,7 @@ class TestComplexLaneChange:
         rng = np.random.default_rng(0)
         counts = []
         for trial in range(100):
-            world = clear_traffic(spawn_scenario(make_config(fidelity=Fidelity.COMPLEX,
-                                                             seed=trial)))
+            world = clear_traffic(spawn_scenario(make_config(fidelity=Fidelity.COMPLEX), trial))
             ego = world.ego()
             ego.speed = float(rng.uniform(10.0, 25.0))
             ego.lane_index = 1
@@ -179,7 +190,7 @@ class TestDeterminismAndInvariants:
         cmds = [Action.FOLLOW] * 30 + [Action.LEFT_LANE_CHANGE] + [Action.FOLLOW] * 20
         hashes = []
         for _ in range(2):
-            world = spawn_scenario(make_config(seed=77))
+            world = spawn_scenario(make_config(), 77)
             run = [world_hash(world)]
             for c in cmds:
                 if world.terminal:
@@ -190,7 +201,7 @@ class TestDeterminismAndInvariants:
         assert hashes[0] == hashes[1]
 
     def test_speed_box_and_sorted_order(self):
-        world = spawn_scenario(make_config(seed=3))
+        world = spawn_scenario(make_config(), 3)
         rng = np.random.default_rng(4)
         for _ in range(120):
             if world.terminal:
@@ -203,34 +214,34 @@ class TestDeterminismAndInvariants:
                 assert abs(v.lateral_offset) <= world.config.lane_width
 
     def test_exactly_one_ego(self):
-        world = spawn_scenario(make_config(seed=6))
+        world = spawn_scenario(make_config(), 6)
         assert sum(v.is_ego for v in world.vehicles) == 1
 
 
 class TestCollision:
     def test_same_lane_overlap(self):
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         world.vehicles.append(VehicleState(id=99, longitudinal_pos=4.9, lane_index=1,
                                            lateral_offset=0.0, speed=0.0, target_speed=20.0))
         world.vehicles.sort(key=lambda v: (v.lane_index, v.longitudinal_pos))
         assert detect_collision(world).collision
 
     def test_adjacent_lane_no_overlap(self):
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         world.vehicles.append(VehicleState(id=99, longitudinal_pos=0.0, lane_index=0,
                                            lateral_offset=0.0, speed=0.0, target_speed=20.0))
         world.vehicles.sort(key=lambda v: (v.lane_index, v.longitudinal_pos))
         assert not detect_collision(world).collision
 
     def test_road_boundary_is_collision(self):
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         ego = world.ego()
         ego.lane_index = 0
         ego.lateral_offset = -1.2  # rectangle edge crosses the road edge
         assert detect_collision(world).collision
 
     def test_gap_capping(self):
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         # front bumper gap 7: center distance 12; rear center distance 65 -> gap 60 capped
         world.vehicles.append(VehicleState(id=98, longitudinal_pos=12.0, lane_index=1,
                                            lateral_offset=0.0, speed=0.0, target_speed=20.0))
@@ -243,7 +254,7 @@ class TestCollision:
         assert not ev.collision
 
     def test_success_requires_distance_and_no_collision(self):
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         world.ego_distance_travelled = 1000.0
         ev = detect_collision(world)
         assert ev.success and ev.episode_done
@@ -251,11 +262,9 @@ class TestCollision:
 
 class TestTrafficPolicy:
     def test_leader_beyond_sensor_range_is_free_flow(self):
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         v = VehicleState(id=11, longitudinal_pos=100.0, lane_index=0, lateral_offset=0.0,
                          speed=20.0, target_speed=20.0)
-        from s2cd.lowlevel_control import IdmParams
-        v.idm = IdmParams(v0=20.0)
         lead = VehicleState(id=12, longitudinal_pos=200.0, lane_index=0, lateral_offset=0.0,
                             speed=20.0, target_speed=20.0)
         world.vehicles.extend([v, lead])
@@ -264,7 +273,7 @@ class TestTrafficPolicy:
         assert abs(accel) <= 0.05
 
     def test_tiny_gap_forces_braking(self):
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         v = VehicleState(id=11, longitudinal_pos=100.0, lane_index=0, lateral_offset=0.0,
                          speed=20.0, target_speed=20.0)
         lead = VehicleState(id=12, longitudinal_pos=107.0, lane_index=0, lateral_offset=0.0,
@@ -275,7 +284,7 @@ class TestTrafficPolicy:
         assert accel < 0
 
     def test_no_advantage_keeps_lane(self):
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         v = VehicleState(id=11, longitudinal_pos=200.0, lane_index=1, lateral_offset=0.0,
                          speed=20.0, target_speed=20.0)
         world.vehicles.append(v)
@@ -285,7 +294,7 @@ class TestTrafficPolicy:
 
     def test_vehicle_at_the_same_position_is_not_a_leader(self):
         from s2cd.lowlevel_control import idm_accel
-        world = clear_traffic(spawn_scenario(make_config(seed=0)))
+        world = clear_traffic(spawn_scenario(make_config(), 0))
         speeds = {11: 20.0, 12: 5.0, 13: 10.0}
         for vid, pos in ((11, 100.0), (12, 100.0), (13, 125.0)):
             world.vehicles.append(VehicleState(id=vid, longitudinal_pos=pos, lane_index=0,
@@ -295,10 +304,10 @@ class TestTrafficPolicy:
         for vid in (11, 12):
             v = next(u for u in world.vehicles if u.id == vid)
             accel, _ = traffic_policy(world, vid)
-            assert accel == idm_accel(v.speed, 10.0, 20.0, v.idm)
+            assert accel == idm_accel(v.speed, 10.0, 20.0, v.target_speed)
 
     def test_rejects_ego(self):
-        world = spawn_scenario(make_config(seed=0))
+        world = spawn_scenario(make_config(), 0)
         with pytest.raises(ValueError):
             traffic_policy(world, 0)
 
@@ -308,7 +317,7 @@ class TestEpisodeLengths:
     def test_simple_follow_episode_step_count(self):
         lengths = []
         for seed in range(5):
-            world = spawn_scenario(make_config(seed=seed))
+            world = spawn_scenario(make_config(), seed)
             n = 0
             while True:
                 _, ev = step(world, Action.FOLLOW)
@@ -324,7 +333,7 @@ class TestEpisodeLengths:
     def test_complex_follow_episode_step_count(self):
         lengths = []
         for seed in range(3):
-            world = spawn_scenario(make_config(fidelity=Fidelity.COMPLEX, seed=seed))
+            world = spawn_scenario(make_config(fidelity=Fidelity.COMPLEX), seed)
             n = 0
             while True:
                 _, ev = step(world, Action.FOLLOW)
@@ -339,7 +348,7 @@ class TestEpisodeLengths:
 
 class TestSnapshot:
     def test_terminal_world_rejects_step(self):
-        world = spawn_scenario(make_config(seed=1))
+        world = spawn_scenario(make_config(), 1)
         world.terminal = True
         with pytest.raises(RuntimeError):
             step(world, Action.FOLLOW)

@@ -6,7 +6,6 @@ import pytest
 
 from s2cd.lowlevel_control import (
     BRAKE_FLOOR,
-    IdmParams,
     LATERAL_GAINS,
     LanePath,
     PidGains,
@@ -156,12 +155,12 @@ class TestCubicSpline:
 
 class TestIdm:
     def test_free_flow_equilibrium_at_desired_speed(self):
-        acc = idm_accel(25.0, 25.0, math.inf)
+        acc = idm_accel(25.0, 25.0, math.inf, 25.0)
         assert abs(acc) < 1e-9
 
     def test_standstill_far_leader_value(self):
         # a * (1 - 0 - (s0/gap)^2) with table constants
-        acc = idm_accel(0.0, 0.0, 100.0)
+        acc = idm_accel(0.0, 0.0, 100.0, 25.0)
         assert acc == pytest.approx(2.0 * (1.0 - (2.0 / 100.0) ** 2), abs=1e-12)
         assert acc == pytest.approx(1.9992, abs=1e-9)
 
@@ -169,12 +168,12 @@ class TestIdm:
         # gap equals s0 + v*T so the interaction term contributes exactly -a
         v = 20.0
         gap = 2.0 + v * 0.6
-        acc = idm_accel(v, v, gap)
+        acc = idm_accel(v, v, gap, 25.0)
         assert acc == pytest.approx(2.0 * (1.0 - (v / 25.0) ** 4 - 1.0), abs=1e-12)
         assert acc < 0
 
     def test_tiny_gap_braking_is_floored(self):
-        acc = idm_accel(20.0, 0.0, 0.5)
+        acc = idm_accel(20.0, 0.0, 0.5, 25.0)
         assert acc == BRAKE_FLOOR
 
     def test_never_exceeds_max_acceleration(self):
@@ -183,14 +182,14 @@ class TestIdm:
             v = rng.uniform(0.0, 25.0)
             vl = rng.uniform(0.0, 25.0)
             gap = rng.uniform(0.5, 200.0)
-            acc = idm_accel(v, vl, gap)
+            acc = idm_accel(v, vl, gap, 25.0)
             assert BRAKE_FLOOR <= acc <= 2.0 + 1e-12
 
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(ValueError):
-            idm_accel(10.0, 10.0, 0.0)
+            idm_accel(10.0, 10.0, 0.0, 25.0)
         with pytest.raises(ValueError):
-            idm_accel(10.0, 10.0, -2.0)
+            idm_accel(10.0, 10.0, -2.0, 25.0)
 
 
 class TestPid:

@@ -23,7 +23,7 @@ from s2cd.mdp_interface import (
 
 
 def empty_world(seed=0):
-    world = spawn_scenario(SimConfig(seed=seed))
+    world = spawn_scenario(SimConfig(), seed)
     world.vehicles = [v for v in world.vehicles if v.is_ego]
     return world
 
@@ -95,7 +95,7 @@ class TestObservation:
     def test_normalized_components_in_unit_box_for_reachable_worlds(self):
         rng = np.random.default_rng(0)
         for seed in range(5):
-            env = HighwayEnv(SimConfig(seed=seed), master_seed=seed)
+            env = HighwayEnv(SimConfig(), master_seed=seed)
             vec = env.reset()
             for _ in range(60):
                 assert np.all(vec >= 0.0) and np.all(vec <= 1.0)
@@ -190,14 +190,14 @@ class TestStepReward:
 
 class TestHighwayEnv:
     def test_reset_gives_normalized_11_vector(self):
-        env = HighwayEnv(SimConfig(seed=0), master_seed=1)
+        env = HighwayEnv(SimConfig(), master_seed=1)
         vec = env.reset()
         assert vec.shape == (11,)
         assert np.all((0.0 <= vec) & (vec <= 1.0))
 
     def test_episode_sequence_deterministic(self):
         def run(master):
-            env = HighwayEnv(SimConfig(seed=0), master_seed=master)
+            env = HighwayEnv(SimConfig(), master_seed=master)
             out = []
             for _ in range(3):
                 vec = env.reset()
@@ -207,12 +207,12 @@ class TestHighwayEnv:
         assert run(7) != run(8)
 
     def test_step_before_reset_rejected(self):
-        env = HighwayEnv(SimConfig(seed=0))
+        env = HighwayEnv(SimConfig())
         with pytest.raises(RuntimeError):
             env.step(Action.FOLLOW)
 
     def test_rewards_match_events(self):
-        env = HighwayEnv(SimConfig(seed=3), master_seed=3)
+        env = HighwayEnv(SimConfig(), master_seed=3)
         env.reset()
         _, reward, events = env.step(Action.FOLLOW)
         d_safe = min(events.min_gap_front, events.min_gap_rear)

@@ -410,7 +410,7 @@ class TestTrainPpo:
     @pytest.mark.slow
     def test_highway_smoke_run_deterministic(self):
         def run():
-            env = HighwayEnv(SimConfig(seed=0), master_seed=11)
+            env = HighwayEnv(SimConfig(), master_seed=11)
             hp = HyperParams(rollout_steps=300, total_steps=600, minibatch=64,
                              update_epochs=2)
             res = train_ppo(env, hp, seed=11)
@@ -433,7 +433,7 @@ class TestEvaluateActor:
                 self.world.vehicles = [v for v in self.world.vehicles if v.is_ego]
                 return self._observe()
 
-        env = EmptyRoadEnv(SimConfig(seed=0), master_seed=0)
+        env = EmptyRoadEnv(SimConfig(), master_seed=0)
         summary = evaluate_actor(env, actor, episodes=3)
         assert summary["success_rate"] == 100.0
         assert summary["episodic_cost"] == 0.0

@@ -416,7 +416,7 @@ class TestTeacherAugmentedEnv:
         )
 
     def test_augmented_dim_and_onehot(self):
-        env = TeacherAugmentedEnv(HighwayEnv(SimConfig(seed=0), master_seed=0),
+        env = TeacherAugmentedEnv(HighwayEnv(SimConfig(), master_seed=0),
                                   self.make_bundle())
         obs = env.reset()
         assert obs.shape == (14,)
@@ -434,7 +434,7 @@ class TestTeacherAugmentedEnv:
             quality_tag="high",
         )
         with pytest.raises(ValueError):
-            TeacherAugmentedEnv(HighwayEnv(SimConfig(seed=0)), bad)
+            TeacherAugmentedEnv(HighwayEnv(SimConfig()), bad)
 
 
 class TestTrainS2cd:
@@ -452,7 +452,7 @@ class TestTrainS2cd:
                 quality_tag="high",
             )
             bundle_holder["checksum"] = bundle.checksum()
-            env = HighwayEnv(SimConfig(seed=0), master_seed=31)
+            env = HighwayEnv(SimConfig(), master_seed=31)
             hp = S2cdHyper(rollout_steps=400, total_steps=1200, minibatch=64,
                            update_epochs=2)
             result = train_s2cd(env, bundle, hp, CFG, seed=31)

@@ -206,7 +206,7 @@ class TestTrainTeacher:
     @pytest.mark.slow
     def test_micro_run_deterministic_and_frozen(self):
         def run():
-            env = HighwayEnv(SimConfig(seed=0), master_seed=21)
+            env = HighwayEnv(SimConfig(), master_seed=21)
             hp = HyperParams(rollout_steps=600, total_steps=1200, minibatch=64,
                              update_epochs=2)
             bundle, _ = train_teacher(env, hp, quality="high", seed=21)
@@ -219,7 +219,7 @@ class TestTrainTeacher:
 
     @pytest.mark.slow
     def test_low_quality_gets_half_budget(self):
-        env = HighwayEnv(SimConfig(seed=0), master_seed=22)
+        env = HighwayEnv(SimConfig(), master_seed=22)
         hp = HyperParams(rollout_steps=600, total_steps=2400, minibatch=64,
                          update_epochs=2)
         bundle, result = train_teacher(env, hp, quality="low", seed=22)
@@ -227,6 +227,6 @@ class TestTrainTeacher:
         assert result.metrics[-1].step == 1200
 
     def test_rejects_unknown_quality(self):
-        env = HighwayEnv(SimConfig(seed=0))
+        env = HighwayEnv(SimConfig())
         with pytest.raises(ValueError):
             train_teacher(env, HyperParams(), quality="medium", seed=0)

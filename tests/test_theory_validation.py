@@ -416,15 +416,6 @@ class TestPerformanceBound:
             s = slacks_for(seed)
             assert s[-1] < 0.1 * s[0]
 
-    def test_kappa_is_entropy_minus_average_kl(self):
-        rng = np.random.default_rng(15)
-        mdp = random_mdp(rng, max_states=6)
-        teacher = random_policy(rng, mdp.n_states, mdp.n_actions)
-        student = random_policy(rng, mdp.n_states, mdp.n_actions)
-        report = check_performance_bound([mdp], [teacher], [student])[0]
-        assert np.isfinite(report.kappa)
-        assert report.kappa <= report.avg_teacher_entropy + 1e-12
-
 
 class TestRunSweep:
     def test_default_sweep_passes_and_is_reproducible(self):
