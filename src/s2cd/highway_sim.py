@@ -25,6 +25,12 @@ from operator import attrgetter
 import numpy as np
 
 from .lowlevel_control import (
+    BRAKE_FLOOR,
+    IDM_A_MAX,
+    IDM_BRAKE_SCALE,
+    IDM_S0,
+    IDM_T,
+    IDM_ZETA,
     LATERAL_GAINS,
     LanePath,
     PidState,
@@ -125,6 +131,10 @@ class SimConfig:
         if self.decisions_per_second is None:
             self.decisions_per_second = 2.0 if self.fidelity is Fidelity.SIMPLE else 20.0
         check_number_fields(self)
+        # an int in a float field becomes that float, so every world value is one
+        for f in fields(self):
+            if f.type in ("float", "float | None"):
+                setattr(self, f.name, float(getattr(self, f.name)))
         for name in ("decisions_per_second", "speed_limit", "episode_length", "lane_width"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -179,8 +189,29 @@ class VehicleState:
     cooldown_until: float = 0.0
 
 
+class LaneIndex:
+    """Where each lane sits in a (lane, position)-sorted vehicle list: lane
+    l is ``vehicles[starts[l]:starts[l + 1]]``, and ``positions`` holds
+    every vehicle's longitudinal position, so a lane's vehicles are found
+    by C bisection of plain floats."""
+
+    __slots__ = ("vehicles", "positions", "starts")
+
+    def __init__(self, vehicles: list[VehicleState], lanes_count: int):
+        self.vehicles = vehicles
+        self.positions = [v.longitudinal_pos for v in vehicles]
+        lanes = [v.lane_index for v in vehicles]
+        self.starts = [bisect.bisect_left(lanes, lane) for lane in range(lanes_count + 1)]
+
+
 @dataclass
 class WorldState:
+    """The world. ``vehicles`` is kept sorted by (lane, position) and
+    indexed by lane (``lanes()``); ``spawn_scenario`` and ``step`` sort and
+    index it. Code that edits vehicles' lanes or positions in place between
+    steps calls ``sort_vehicles()``; a replaced or resized list is indexed
+    again on its next use."""
+
     config: SimConfig
     vehicles: list[VehicleState]
     sim_time: float = 0.0
@@ -188,12 +219,26 @@ class WorldState:
     decision_count: int = 0
     substep_count: int = 0
     terminal: bool = False
+    _lanes: LaneIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def ego(self) -> VehicleState:
         for v in self.vehicles:
             if v.is_ego:
                 return v
         raise RuntimeError("world has no ego vehicle")
+
+    def sort_vehicles(self) -> None:
+        """Sort the vehicles by (lane, position) and index them by lane."""
+        self.vehicles.sort(key=_LANE_ORDER)
+        self._lanes = LaneIndex(self.vehicles, self.config.lanes_count)
+
+    def lanes(self) -> LaneIndex:
+        """The lane index of ``vehicles``."""
+        lanes = self._lanes
+        if (lanes is None or lanes.vehicles is not self.vehicles
+                or len(lanes.positions) != len(self.vehicles)):
+            lanes = self._lanes = LaneIndex(self.vehicles, self.config.lanes_count)
+        return lanes
 
 
 @dataclass
@@ -238,8 +283,9 @@ def spawn_scenario(config: SimConfig, seed: int) -> WorldState:
             ))
             next_id += 1
 
-    vehicles.sort(key=_LANE_ORDER)
-    return WorldState(config=config, vehicles=vehicles)
+    world = WorldState(config=config, vehicles=vehicles)
+    world.sort_vehicles()
+    return world
 
 
 def step(world: WorldState, ego_command: Action) -> tuple[WorldState, StepEvents]:
@@ -267,7 +313,7 @@ def step(world: WorldState, ego_command: Action) -> tuple[WorldState, StepEvents
     for _ in range(cfg.substeps_per_decision):
         _advance_substep(world, world.substep_count % traffic_period == 0)
         world.substep_count += 1
-        collided = _ego_collides(cfg, world.vehicles, ego)
+        collided = _ego_collides(cfg, world.lanes(), ego)
         if collided:
             break
     world.decision_count += 1
@@ -294,76 +340,85 @@ def _begin_lane_change(cfg: SimConfig, vehicle: VehicleState, target: int) -> No
         )
 
 
-def _neighbours(vehicles: list[VehicleState], lane: int, vehicle: VehicleState):
+def _neighbours(lanes: LaneIndex, lane: int, vehicle: VehicleState):
     """(lead, front gap, rear, rear gap): the nearest vehicles strictly ahead
     of and strictly behind ``vehicle`` in ``lane`` and the bumper gaps to
-    them, by bisection of the (lane, position)-sorted list. A missing
-    neighbour is None with an infinite gap."""
+    them, by bisection of the lane's positions. A missing neighbour is None
+    with an infinite gap."""
     x = vehicle.longitudinal_pos
-    idx = bisect.bisect_left(vehicles, (lane, x), key=_LANE_ORDER)
+    xs = lanes.positions
+    lo, hi = lanes.starts[lane], lanes.starts[lane + 1]
+    idx = bisect.bisect_left(xs, x, lo, hi)
     rear, rear_gap = None, math.inf
-    if idx > 0 and vehicles[idx - 1].lane_index == lane:
-        rear = vehicles[idx - 1]
-        rear_gap = x - rear.longitudinal_pos - VEHICLE_LENGTH
-    n = len(vehicles)
-    while idx < n and vehicles[idx].lane_index == lane and vehicles[idx].longitudinal_pos == x:
-        idx += 1
-    if idx == n or vehicles[idx].lane_index != lane:
+    if idx > lo:
+        rear = lanes.vehicles[idx - 1]
+        rear_gap = x - xs[idx - 1] - VEHICLE_LENGTH
+    idx = bisect.bisect_right(xs, x, idx, hi)
+    if idx == hi:
         return None, math.inf, rear, rear_gap
-    lead = vehicles[idx]
-    front_gap = lead.longitudinal_pos - x - VEHICLE_LENGTH
-    return lead, front_gap, rear, rear_gap
+    return lanes.vehicles[idx], xs[idx] - x - VEHICLE_LENGTH, rear, rear_gap
 
 
-def _leader_accel(cfg: SimConfig, vehicles: list[VehicleState], lane: int,
+def _leader_accel(cfg: SimConfig, lanes: LaneIndex, lane: int,
                   vehicle: VehicleState, accel: float | None) -> float | None:
     """The smaller of ``accel`` and the IDM acceleration behind the leader in
     ``lane``; None stands for no leader in sensor range."""
-    lead, gap, _, _ = _neighbours(vehicles, lane, vehicle)
+    lead, gap, _, _ = _neighbours(lanes, lane, vehicle)
     if lead is None or gap > cfg.sensor_range:
         return accel
     other = idm_accel(vehicle.speed, lead.speed, max(gap, 0.1), vehicle.target_speed)
     return accel if accel is not None and accel <= other else other
 
 
-def _accelerations(cfg: SimConfig, vehicles: list[VehicleState]) -> list[float]:
+def _accelerations(cfg: SimConfig, lanes: LaneIndex) -> list[float]:
     """IDM acceleration of every vehicle against its most restrictive visible
     leader: the own-lane one and, during a lane change, the target-lane one.
     The free-road value is computed only when no leader is in sensor range,
-    since a leader's gap term only subtracts from it."""
+    since a leader's gap term only subtracts from it. The own-lane and
+    free-road cases are ``idm_accel`` written out, with the same operations
+    in the same order; free road leaves out two terms that are exactly zero
+    there (the closing-speed term and the gap term)."""
     sensor = cfg.sensor_range
-    n = len(vehicles)
+    vehicles, xs, starts = lanes.vehicles, lanes.positions, lanes.starts
     accels = []
-    for i, v in enumerate(vehicles):
-        x = v.longitudinal_pos
-        lane = v.lane_index
-        accel = None
-        # The own-lane leader is the next record of the same lane, past any
-        # at the same position (as bisect_right would find it).
-        j = i + 1
-        while j < n and vehicles[j].lane_index == lane:
-            lead = vehicles[j]
-            if lead.longitudinal_pos > x:
-                gap = lead.longitudinal_pos - x - VEHICLE_LENGTH
+    for lane in range(len(starts) - 1):
+        end = starts[lane + 1]
+        for i in range(starts[lane], end):
+            v = vehicles[i]
+            x = xs[i]
+            speed, v0 = v.speed, v.target_speed
+            accel = None
+            # The own-lane leader is the next record of the lane, past any at
+            # the same position (as bisect_right would find it).
+            j = i + 1
+            while j < end and xs[j] == x:
+                j += 1
+            if j < end:
+                gap = xs[j] - x - VEHICLE_LENGTH
                 if gap <= sensor:
-                    accel = idm_accel(v.speed, lead.speed, 0.1 if 0.1 > gap else gap,
-                                      v.target_speed)
-                break
-            j += 1
-        lc = v.lane_change
-        if lc is not None and lc.target_lane != lane:
-            accel = _leader_accel(cfg, vehicles, lc.target_lane, v, accel)
-        accels.append(idm_accel(v.speed, v.speed, math.inf, v.target_speed)
-                      if accel is None else accel)
+                    gap = 0.1 if 0.1 > gap else gap
+                    desired = (IDM_S0 + speed * IDM_T
+                               + speed * (speed - vehicles[j].speed) / IDM_BRAKE_SCALE)
+                    desired = 0.0 if 0.0 > desired else desired
+                    accel = IDM_A_MAX * (1.0 - (speed / v0) ** IDM_ZETA - (desired / gap) ** 2)
+                    accel = BRAKE_FLOOR if BRAKE_FLOOR > accel else accel
+            lc = v.lane_change
+            if lc is not None and lc.target_lane != v.lane_index:
+                accel = _leader_accel(cfg, lanes, lc.target_lane, v, accel)
+            if accel is None:
+                accel = IDM_A_MAX * (1.0 - (speed / v0) ** IDM_ZETA)
+                accel = BRAKE_FLOOR if BRAKE_FLOOR > accel else accel
+            accels.append(accel)
     return accels
 
 
 def _advance_substep(world: WorldState, traffic_decides: bool) -> None:
     cfg = world.config
     vehicles = world.vehicles
-    accels = _accelerations(cfg, vehicles)
+    lanes = world.lanes()
+    accels = _accelerations(cfg, lanes)
     if traffic_decides:
-        _traffic_lane_decisions(world, accels)
+        _traffic_lane_decisions(world, lanes, accels)
     dt = cfg.sim_dt
     limit = cfg.speed_limit
     simple = cfg.fidelity is Fidelity.SIMPLE
@@ -381,7 +436,7 @@ def _advance_substep(world: WorldState, traffic_decides: bool) -> None:
                 _advance_simple_maneuver(cfg, v)
             else:
                 _advance_complex_maneuver(cfg, v, dt)
-    vehicles.sort(key=_LANE_ORDER)
+    world.sort_vehicles()
 
 
 def _advance_simple_maneuver(cfg: SimConfig, v: VehicleState) -> None:
@@ -424,45 +479,35 @@ def _advance_complex_maneuver(cfg: SimConfig, v: VehicleState, dt: float) -> Non
         v.lane_change = None
 
 
-def _traffic_lane_decisions(world: WorldState, accels: list[float]) -> None:
-    """Start MOBIL lane changes. ``accels`` holds this substep's accelerations;
-    a vehicle that starts a change also brakes for its target-lane leader."""
+def _traffic_lane_decisions(world: WorldState, lanes: LaneIndex,
+                            accels: list[float]) -> None:
+    """Start MOBIL lane changes. ``accels`` holds this substep's accelerations,
+    in the order of ``lanes``; a vehicle that starts a change also brakes for
+    its target-lane leader."""
     cfg = world.config
-    for i, v in enumerate(world.vehicles):
+    for i, v in enumerate(lanes.vehicles):
         if v.is_ego or v.lane_change is not None or world.sim_time < v.cooldown_until:
             continue
-        decision = _mobil_lane_choice(cfg, world.vehicles, v, accels[i])
+        decision = _mobil_lane_choice(cfg, lanes, v, accels[i])
         if decision is Action.FOLLOW:
             continue
         target = v.lane_index + (-1 if decision is Action.LEFT_LANE_CHANGE else 1)
         _begin_lane_change(cfg, v, target)
         v.cooldown_until = world.sim_time + TRAFFIC_COOLDOWN
-        accels[i] = _leader_accel(cfg, world.vehicles, target, v, accels[i])
+        accels[i] = _leader_accel(cfg, lanes, target, v, accels[i])
 
 
-def traffic_policy(world: WorldState, vehicle_id: int) -> tuple[float, Action]:
-    """IDM acceleration plus a MOBIL-style lane recommendation for one
-    traffic vehicle. Politeness is zero: only the vehicle's own accel gain
-    counts, and both target-lane gaps must exceed the safety gap."""
-    index = next((i for i, v in enumerate(world.vehicles) if v.id == vehicle_id), None)
-    if index is None:
-        raise ValueError(f"no vehicle with id {vehicle_id}")
-    vehicle = world.vehicles[index]
-    if vehicle.is_ego:
-        raise ValueError("traffic_policy does not control the ego vehicle")
-    accel = _accelerations(world.config, world.vehicles)[index]
-    if vehicle.lane_change is not None:
-        return accel, Action.FOLLOW
-    return accel, _mobil_lane_choice(world.config, world.vehicles, vehicle, accel)
-
-
-def _mobil_lane_choice(cfg: SimConfig, vehicles: list, vehicle: VehicleState, accel: float) -> Action:
+def _mobil_lane_choice(cfg: SimConfig, lanes: LaneIndex, vehicle: VehicleState,
+                       accel: float) -> Action:
+    """MOBIL-style lane recommendation for a traffic vehicle whose current
+    acceleration is ``accel``. Politeness is zero: only the vehicle's own
+    accel gain counts, and both target-lane gaps must exceed the safety gap."""
     best_gain = MOBIL_GAIN_THRESHOLD
     best_action = Action.FOLLOW
     for candidate in (vehicle.lane_index - 1, vehicle.lane_index + 1):
         if not 0 <= candidate < cfg.lanes_count:
             continue
-        lead, front_gap, _, rear_gap = _neighbours(vehicles, candidate, vehicle)
+        lead, front_gap, _, rear_gap = _neighbours(lanes, candidate, vehicle)
         if front_gap <= MOBIL_SAFETY_GAP or rear_gap <= MOBIL_SAFETY_GAP:
             continue
         # front_gap exceeds the safety gap, so the 0.1 m IDM gap floor cannot bind
@@ -479,16 +524,26 @@ def _mobil_lane_choice(cfg: SimConfig, vehicles: list, vehicle: VehicleState, ac
     return best_action
 
 
-def _ego_collides(cfg: SimConfig, vehicles: list[VehicleState], ego: VehicleState) -> bool:
+def _ego_collides(cfg: SimConfig, lanes: LaneIndex, ego: VehicleState) -> bool:
+    """Whether the ego's rectangle leaves the road or overlaps another's.
+    Only a vehicle less than ``VEHICLE_LENGTH`` from the ego's position can
+    overlap it; each lane's bisected window holds every such vehicle."""
     y_ego = cfg.lane_center(ego.lane_index) + ego.lateral_offset
     if y_ego - VEHICLE_WIDTH / 2.0 < 0.0 or y_ego + VEHICLE_WIDTH / 2.0 > cfg.road_width:
         return True
-    for v in vehicles:
-        if v.is_ego or abs(v.longitudinal_pos - ego.longitudinal_pos) >= VEHICLE_LENGTH:
-            continue
-        y_other = cfg.lane_center(v.lane_index) + v.lateral_offset
-        if abs(y_other - y_ego) < VEHICLE_WIDTH:
-            return True
+    x = ego.longitudinal_pos
+    xs, starts = lanes.positions, lanes.starts
+    for lane in range(len(starts) - 1):
+        # rounding is monotone, so the float window bounds include every
+        # position whose rounded |dx| is below the length
+        lo = bisect.bisect_left(xs, x - VEHICLE_LENGTH, starts[lane], starts[lane + 1])
+        hi = bisect.bisect_right(xs, x + VEHICLE_LENGTH, lo, starts[lane + 1])
+        for v in lanes.vehicles[lo:hi]:
+            if v.is_ego or abs(v.longitudinal_pos - x) >= VEHICLE_LENGTH:
+                continue
+            y_other = cfg.lane_center(v.lane_index) + v.lateral_offset
+            if abs(y_other - y_ego) < VEHICLE_WIDTH:
+                return True
     return False
 
 
@@ -503,10 +558,12 @@ def detect_collision(world: WorldState, collided: bool | None = None) -> StepEve
     """
     cfg = world.config
     ego = world.ego()
+    lanes = world.lanes()
     if collided is None:
-        collided = _ego_collides(cfg, world.vehicles, ego)
-    lanes = {ego.lane_index, ego.lane_index if ego.lane_change is None else ego.lane_change.target_lane}
-    gaps = [_neighbours(world.vehicles, lane, ego)[1::2] for lane in lanes]
+        collided = _ego_collides(cfg, lanes, ego)
+    ego_lanes = {ego.lane_index,
+                 ego.lane_index if ego.lane_change is None else ego.lane_change.target_lane}
+    gaps = [_neighbours(lanes, lane, ego)[1::2] for lane in ego_lanes]
     front = min(max(min(front for front, _ in gaps), 0.0), cfg.sensor_range)
     rear = min(max(min(rear for _, rear in gaps), 0.0), cfg.sensor_range)
     reached_goal = world.ego_distance_travelled >= cfg.episode_length

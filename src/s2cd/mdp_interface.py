@@ -61,12 +61,13 @@ def build_observation(world: WorldState) -> np.ndarray:
     """
     cfg = world.config
     ego = world.ego()
+    lanes = world.lanes()
     out = [ego.speed]
     for lane_offset, ahead in _SLOT_SPEC:
         lane = ego.lane_index + lane_offset
         other, gap = None, math.inf
         if 0 <= lane < cfg.lanes_count:
-            found = _neighbours(world.vehicles, lane, ego)
+            found = _neighbours(lanes, lane, ego)
             other, gap = found[:2] if ahead else found[2:]
         if other is None or gap > cfg.sensor_range:
             out.extend((ego.speed, cfg.sensor_range))

@@ -6,8 +6,11 @@ optimizers, the collector state and the update schedule, and calls a
 per-phase collection function. ``train_ppo`` supplies plain PPO's; the
 teacher runs ``train_ppo`` and the S2CD student supplies its own.
 ``RolloutBuffer`` is the one rollout store: a collection adds rows of
-named columns, and ``finalize`` turns them into the batch the updates
-read. The S2CD student's rows carry three more columns than plain PPO's.
+named columns, each step holding only the work that picks its action;
+``annotate_phase`` then adds the critic values and old log-probabilities
+of the whole phase in one row-stacked pass, and ``finalize`` turns the
+columns into the batch the updates read. The S2CD student's rows carry
+three more columns than plain PPO's.
 ``ppo_loss`` is the one loss: plain PPO calls it with the symmetric clip
 interval and no KL term, the S2CD student with per-row clip intervals
 and a KL weight.
@@ -27,6 +30,8 @@ from .tensor_nn import (
     NetSpec,
     OptimState,
     adamw_step,
+    log_softmax,
+    softmax,
 )
 
 
@@ -88,6 +93,15 @@ class RolloutBuffer:
         for key, value in row.items():
             self.columns[key].append(value)
 
+    def add_columns(self, **columns) -> None:
+        """Add whole columns, one entry per row added so far: the values a
+        phase computes in one pass once its rows are in."""
+        n = len(self.columns["executed"])
+        for key, column in columns.items():
+            if key in self.columns or len(column) != n:
+                raise ValueError(f"column {key!r} is already present or has not {n} entries")
+            self.columns[key] = column
+
     def finalize(self, hp: HyperParams, bootstrap_value: float) -> dict[str, np.ndarray]:
         """The phase's batch: every column as an array, plus ``advantages``
         and ``returns``. GAE runs over the executed rows; each synthetic row
@@ -114,6 +128,34 @@ class RolloutBuffer:
         batch["advantages"] = normalize_advantages(adv)
         batch["returns"] = ret
         return batch
+
+
+def annotate_phase(buffer: RolloutBuffer, critic: DenseNet,
+                   logits: list[np.ndarray]) -> np.ndarray:
+    """Add the ``values`` and ``logprob_old`` columns to a collected phase;
+    returns the action probabilities of its steps, one row per step.
+
+    ``logits`` holds the actor's (1, 3) logits of each step, in order; the
+    executed rows are the steps, and a synthetic row shares the step of the
+    executed row it follows. A row's value is the critic's at its
+    observation, from one row-stacked pass over the steps' observations,
+    and its ``logprob_old`` the log-probability of its action under its
+    step's logits. The nets do not change within a phase, so every entry
+    has the bits that a per-step forward and log-softmax would give.
+    """
+    columns = buffer.columns
+    executed = np.array(columns["executed"])
+    step = np.cumsum(executed) - 1
+    logits = np.concatenate(logits)
+    values = critic.forward_rows(np.array(columns["obs"])[executed])
+    buffer.add_columns(values=values[step],
+                       logprob_old=log_softmax(logits)[step, columns["actions"]])
+    return softmax(logits)
+
+
+def policy_entropy(probs: np.ndarray) -> np.ndarray:
+    """Entropy of each row of action probabilities (the last axis)."""
+    return -np.add.reduce(probs * np.log(probs), axis=-1)
 
 
 def normalize_advantages(adv: np.ndarray) -> np.ndarray:
@@ -349,23 +391,22 @@ def train_ppo(env, hp: HyperParams, seed: int, on_phase=None) -> TrainResult:
     ``on_phase`` is passed to ``train_phases``."""
 
     def collect(actor, critic, rng, state, buffer, tracker):
-        entropies = []
+        logits = []
         for _ in range(hp.rollout_steps):
             if state.done:
                 state.obs = env.reset()
                 state.done = False
             obs = state.obs
-            probs, cache = actor.forward(obs)
-            log_probs = actor.policy_log_probs(cache)
+            probs, (_, step_logits, _, _) = actor.forward(obs)
             action = sample_action(probs, rng)
-            value, _ = critic.forward(obs)
             state.obs, reward, events = env.step(Action(action))
             state.done = events.episode_done
-            buffer.add(obs=obs, actions=action, logprob_old=float(log_probs[action]),
-                       rewards=reward.total, values=value, dones=state.done, executed=True)
-            entropies.append(float(-np.add.reduce(probs * np.log(probs))))
+            buffer.add(obs=obs, actions=action, rewards=reward.total, dones=state.done,
+                       executed=True)
+            logits.append(step_logits)
             tracker.record(reward, events, env.ego_speed())
-        return ppo_loss, {"entropy": float(np.mean(entropies))}
+        probs = annotate_phase(buffer, critic, logits)
+        return ppo_loss, {"entropy": float(np.mean(policy_entropy(probs)))}
 
     return train_phases(env, hp, seed, collect, on_phase)
 

@@ -38,7 +38,9 @@ from .ppo_core import (
     HyperParams,
     RolloutBuffer,
     TrainResult,
+    annotate_phase,
     compute_gae,
+    policy_entropy,
     ppo_loss,
     sample_action,
     train_phases,
@@ -113,13 +115,15 @@ def adaptive_epsilon(p_student: float, p_teacher: float, psi: float) -> float:
     return psi * ((p_student - p_teacher) + 1.0) / 2.0
 
 
-def kl_penalty(teacher_probs: np.ndarray, student_probs: np.ndarray) -> float:
-    """KL(teacher || student) over the 3 actions; the student side is
-    floored so the result stays finite."""
+def kl_penalty(teacher_probs: np.ndarray, student_probs: np.ndarray) -> np.ndarray:
+    """KL(teacher || student) of each row of action probabilities (the last
+    axis). The student side is floored so the result stays finite; a zero
+    teacher entry adds nothing."""
     t = np.asarray(teacher_probs, dtype=np.float64)
     s = np.maximum(np.asarray(student_probs, dtype=np.float64), 1e-12)
     mask = t > 0.0
-    return float(np.add.reduce(t[mask] * np.log(t[mask] / s[mask])))
+    return np.add.reduce(np.where(mask, t * np.log(np.where(mask, t, 1.0) / s), 0.0),
+                         axis=-1)
 
 
 def augment_observation(obs: np.ndarray, teacher_action: int) -> np.ndarray:
@@ -216,8 +220,12 @@ def collect_dual(env: TeacherAugmentedEnv, actor: DenseNet, critic: DenseNet,
     collection is on and the teacher's advice differs from the executed
     action, its predicted transition is stored as an extra teacher row.
     ``obs`` is the augmented observation, and a synthetic row's reward is
-    the return net's prediction for the teacher's action."""
+    the return net's prediction for the teacher's action. A step runs only
+    what picks its action; the values, old log-probabilities and the KL and
+    entropy sums come from one pass over the phase (``annotate_phase``),
+    the sums accumulated in step order."""
     stats = CollectStats()
+    logits, teacher_probs = [], []
     tau_episode = decay_tau(state.episodes, switch_cfg, hp.intervention_decay)
     for _ in range(n_steps):
         if state.done:
@@ -227,8 +235,7 @@ def collect_dual(env: TeacherAugmentedEnv, actor: DenseNet, critic: DenseNet,
         advice = env.last_advice
         obs = state.obs
 
-        probs, cache = actor.forward(obs)
-        log_probs = actor.policy_log_probs(cache)
+        probs, (_, step_logits, _, _) = actor.forward(obs)
         a_student = sample_action(probs, rng)
         q_teacher = float(advice.q_pred[advice.action])
         q_student = float(advice.q_pred[a_student])
@@ -237,31 +244,32 @@ def collect_dual(env: TeacherAugmentedEnv, actor: DenseNet, critic: DenseNet,
 
         eps_prime = adaptive_epsilon(float(probs[a_student]),
                                      float(probs[advice.action]), hp.psi)
-        value, _ = critic.forward(obs)
         next_obs, reward, events = env.step(Action(a_exec))
         state.done = events.episode_done
 
-        buffer.add(obs=obs, actions=a_exec, logprob_old=float(log_probs[a_exec]),
-                   rewards=reward.total, values=value, dones=state.done, executed=True,
-                   teacher_origin=intervened, eps_prime=eps_prime,
+        buffer.add(obs=obs, actions=a_exec, rewards=reward.total, dones=state.done,
+                   executed=True, teacher_origin=intervened, eps_prime=eps_prime,
                    teacher_probs=advice.probs)
         if hp.dual_source and advice.action != a_exec:
-            buffer.add(obs=obs, actions=advice.action,
-                       logprob_old=float(log_probs[advice.action]),
-                       rewards=advice.r_pred, values=value, dones=state.done,
-                       executed=False, teacher_origin=True, eps_prime=eps_prime,
-                       teacher_probs=advice.probs)
+            buffer.add(obs=obs, actions=advice.action, rewards=advice.r_pred,
+                       dones=state.done, executed=False, teacher_origin=True,
+                       eps_prime=eps_prime, teacher_probs=advice.probs)
             stats.synthetic_rows += 1
+        logits.append(step_logits)
+        teacher_probs.append(advice.probs)
 
         stats.steps += 1
         stats.interventions += int(intervened)
-        stats.kl_sum += kl_penalty(advice.probs, probs)
-        stats.entropy_sum += float(-np.add.reduce(probs * np.log(probs)))
         if tracker is not None:
             tracker.record(reward, events, env.ego_speed())
         if state.done:
             state.episodes += 1
         state.obs = next_obs
+    probs = annotate_phase(buffer, critic, logits)
+    for kl, entropy in zip(kl_penalty(np.array(teacher_probs), probs).tolist(),
+                           policy_entropy(probs).tolist()):
+        stats.kl_sum += kl
+        stats.entropy_sum += entropy
     return stats
 
 

@@ -17,6 +17,7 @@ from .tensor_nn import (
     Head,
     NetSpec,
     OptimState,
+    StackedNets,
     adamw_step,
     json_field,
     load_net,
@@ -55,7 +56,9 @@ def make_supervised_row(batch: dict[str, np.ndarray], bootstrap: float,
 
 @dataclass
 class TeacherBundle:
-    """Frozen advice source: policy, critic, and the two predictor heads."""
+    """Frozen advice source: policy, critic, and the two predictor heads.
+    The actor and the two heads share one architecture and are stacked
+    once, at construction, for ``teacher_advise``."""
 
     actor: DenseNet
     critic: DenseNet
@@ -63,6 +66,7 @@ class TeacherBundle:
     qvalue_net: DenseNet
     quality_tag: str
     meta: dict = field(default_factory=dict)
+    advice_nets: StackedNets = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dims = {self.actor.spec.input_dim, self.critic.spec.input_dim,
@@ -71,6 +75,7 @@ class TeacherBundle:
             raise ValueError("bundle networks disagree on input dimension")
         if self.quality_tag not in QUALITY_TAGS:
             raise ValueError(f"unknown quality tag {self.quality_tag!r}")
+        self.advice_nets = StackedNets([self.actor, self.return_net, self.qvalue_net])
 
     @property
     def input_dim(self) -> int:
@@ -92,7 +97,8 @@ class Advice:
 
 
 def teacher_advise(bundle: TeacherBundle, obs: np.ndarray) -> Advice:
-    """Advice for one normalized observation.
+    """Advice for one normalized observation, from one stacked pass of the
+    actor, the return net and the Q net.
 
     The guiding action is the argmax of the teacher policy (ties break to
     the lowest index); r_pred is the predicted immediate reward of that
@@ -102,13 +108,11 @@ def teacher_advise(bundle: TeacherBundle, obs: np.ndarray) -> Advice:
     obs = np.asarray(obs, dtype=np.float64)
     if obs.shape != (bundle.input_dim,):
         raise ValueError(f"expected observation of length {bundle.input_dim}")
-    # fmin/fmax skip NaN entries, as the comparisons do; forward rejects NaN
+    # fmin/fmax skip NaN entries, as the comparisons do; the pass rejects NaN
     if np.fmin.reduce(obs) < -1e-9 or np.fmax.reduce(obs) > 1.0 + 1e-9:
         raise ValueError("observation is not normalized to [0, 1]")
-    probs, _ = bundle.actor.forward(obs)
+    probs, r_all, q_all = bundle.advice_nets.forward(obs)
     action = int(probs.argmax())
-    r_all, _ = bundle.return_net.forward(obs)
-    q_all, _ = bundle.qvalue_net.forward(obs)
     return Advice(action=action, probs=probs, r_pred=float(r_all[action]), q_pred=q_all)
 
 
@@ -259,5 +263,9 @@ def load_bundle(directory: str | Path) -> TeacherBundle:
     manifest = json.loads(path.read_text())
     json_field(manifest, "quality_tag", str, path)
     nets = {name: load_net(directory / f"{name}.json") for name in BUNDLE_NETS}
+    for name in ("return_net", "qvalue_net"):
+        if nets[name].spec.dims != nets["actor"].spec.dims:
+            raise ValueError(f"{directory / name}.json: layer widths {nets[name].spec.dims} "
+                             f"differ from actor.json's {nets['actor'].spec.dims}")
     quality = manifest.pop("quality_tag")
     return TeacherBundle(quality_tag=quality, meta=manifest, **nets)

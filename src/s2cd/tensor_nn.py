@@ -114,31 +114,20 @@ class DenseNet:
         x = np.asarray(x, dtype=np.float64)
         squeeze = x.ndim == 1
         h = x[None, :] if squeeze else x
-        if h.shape[1] != self.spec.input_dim:
-            raise ValueError(f"expected input dim {self.spec.input_dim}, got {h.shape[1]}")
-        # a finite sum implies finite entries; scan them only when it is not
-        if not math.isfinite(h.sum()) and not np.isfinite(h).all():
-            raise ValueError("non-finite network input")
-        activations = [h]
-        last = len(self._layers) - 1
-        for layer, (w, b) in enumerate(self._layers):
-            z = h @ w + b
-            if layer < last:
-                h = np.tanh(z)
-                activations.append(h)
-            else:
-                h = z
-        logits = h
-        if self.spec.head is Head.SOFTMAX_POLICY:
-            out = _softmax(logits)
-        elif self.spec.head is Head.SCALAR_VALUE:
-            out = logits[:, 0]
-        else:
-            out = logits
+        _check_input(self.spec.input_dim, h)
+        activations, logits = _run_layers(self._layers, h)
+        out = _apply_head(self.spec.head, logits)
         cache = (activations, logits, out, squeeze)
         if squeeze:
             return (out[0] if self.spec.head is not Head.SCALAR_VALUE else float(out[0])), cache
         return out, cache
+
+    def forward_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The output of ``forward(row)`` for every row of ``rows`` (n, d),
+        bit for bit. The rows go through the layers as a stack of (1, d)
+        matrices, for which numpy runs one gemv per row like the single
+        forward; the gemm of a batch ``forward`` rounds differently."""
+        return _apply_head(self.spec.head, _run_layers(self._layers, rows[:, None, :])[1][:, 0])
 
     def backward_from_logits(self, cache, logits_grad: np.ndarray) -> np.ndarray:
         """Exact gradient of sum(logits * logits_grad) w.r.t. every parameter,
@@ -167,18 +156,84 @@ class DenseNet:
         return lp[0] if squeeze else lp
 
 
-# Direct calls of the ufuncs behind ``.max``, ``.sum`` and ``np.clip``: same bits.
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+class StackedNets:
+    """Nets of one architecture evaluated on one input in a single pass.
+
+    Layer l of the K nets is stacked once into (K, d, h) weights and
+    (K, 1, h) biases, and the input runs as K (1, d) rows: one gemv per net,
+    so each output has the bits of that net's own ``forward``. The stack is
+    a copy taken at construction; later writes to the nets' parameters do
+    not reach it.
+    """
+
+    def __init__(self, nets: list[DenseNet]):
+        dims = {net.spec.dims for net in nets}
+        if len(dims) != 1:
+            raise ValueError(f"stacked nets must share their layer widths, got {sorted(dims)}")
+        self.heads = [net.spec.head for net in nets]
+        self.input_dim = nets[0].spec.input_dim
+        self._layers = [(np.stack([net._layers[i][0] for net in nets]),
+                         np.stack([net._layers[i][1] for net in nets])[:, None, :])
+                        for i in range(len(nets[0]._layers))]
+
+    def forward(self, x: np.ndarray) -> list:
+        """``[net.forward(x)[0] for net in nets]`` for one input ``x``."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim != 1:
+            raise ValueError("stacked nets take a single input")
+        _check_input(self.input_dim, x[None, :])
+        # the (1, 1, d) input broadcasts against the (K, d, h) first layer
+        logits = _run_layers(self._layers, x[None, None, :])[1]
+        return [_apply_head(head, z)[0] for head, z in zip(self.heads, logits)]
+
+
+def _check_input(input_dim: int, h: np.ndarray) -> None:
+    if h.shape[-1] != input_dim:
+        raise ValueError(f"expected input dim {input_dim}, got {h.shape[-1]}")
+    # a finite sum implies finite entries; scan them only when it is not
+    if not math.isfinite(h.sum()) and not np.isfinite(h).all():
+        raise ValueError("non-finite network input")
+
+
+def _run_layers(layers, h: np.ndarray):
+    """(activations, logits) of ``h`` through the tanh layers. ``h`` is a
+    batch (n, d), or a stack of (1, d) rows: (n, 1, d) against one net's
+    (d, h) weights, or one (1, 1, d) row against K stacked (K, d, h)
+    weights, which it meets as K rows."""
+    activations = [h]
+    last = len(layers) - 1
+    for layer, (w, b) in enumerate(layers):
+        z = h @ w + b
+        if layer < last:
+            h = np.tanh(z)
+            activations.append(h)
+        else:
+            h = z
+    return activations, h
+
+
+def _apply_head(head: Head, logits: np.ndarray) -> np.ndarray:
+    if head is Head.SOFTMAX_POLICY:
+        return softmax(logits)
+    if head is Head.SCALAR_VALUE:
+        return logits[..., 0]
+    return logits
+
+
+# Direct calls of the ufuncs behind ``.max``, ``.sum`` and ``np.clip``: same
+# bits. Both reduce over the last axis, so each row of a batch gets the bits
+# of the same row on its own.
+def softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     e = np.exp(z)
-    p = e / np.add.reduce(e, axis=1, keepdims=True)
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
     # keep log-prob computations finite for extreme logits
     return np.minimum(np.maximum(p, 1e-300), 1.0)
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
-    return z - np.log(np.add.reduce(np.exp(z), axis=1, keepdims=True))
+    z = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
 
 # Adaptive-moment decay rates and the denominator guard.

@@ -257,6 +257,19 @@ class TestErrorReporting:
         assert not out.exists()
         assert f"config error: {bundle / name}" in capsys.readouterr().err
 
+    def test_student_bundle_with_other_advice_widths_is_a_config_error(self, tmp_path, capsys,
+                                                                       teacher_dir):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(teacher_dir / "seed_1" / "bundle", bundle)
+        save_net(DenseNet.create(NetSpec(11, 3, hidden=(32, 32), head=Head.VECTOR_VALUE),
+                                 np.random.default_rng(0)), bundle / "return_net.json")
+        cfg = write_config(tmp_path, "student.json", MICRO_STUDENT)
+        out = tmp_path / "out"
+        assert main(["train-student", "--config", cfg, "--bundle", str(bundle),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"config error: {bundle / 'return_net.json'}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["directory", "missing"])
     def test_unreadable_config_rejected_before_outputs(self, tmp_path, capsys, kind):
         cfg = tmp_path / "cfg"

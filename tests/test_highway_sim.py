@@ -11,10 +11,11 @@ from s2cd.highway_sim import (
     StepEvents,
     VehicleState,
     WorldState,
+    _accelerations,
+    _mobil_lane_choice,
     detect_collision,
     spawn_scenario,
     step,
-    traffic_policy,
     world_hash,
 )
 
@@ -26,6 +27,15 @@ def make_config(fidelity=Fidelity.SIMPLE, density=Density.MEDIUM, **kw):
 def clear_traffic(world):
     world.vehicles = [v for v in world.vehicles if v.is_ego]
     return world
+
+
+def traffic_policy(world, vehicle_id):
+    """The IDM acceleration and the MOBIL lane choice that a traffic-decision
+    substep computes for the traffic vehicle ``vehicle_id``."""
+    lanes = world.lanes()
+    index = next(i for i, v in enumerate(lanes.vehicles) if v.id == vehicle_id)
+    accel = _accelerations(world.config, lanes)[index]
+    return accel, _mobil_lane_choice(world.config, lanes, lanes.vehicles[index], accel)
 
 
 class TestSpawn:
@@ -260,6 +270,16 @@ class TestCollision:
         assert ev.success and ev.episode_done
 
 
+class TestConfigFloats:
+    def test_int_float_fields_give_the_float_world(self):
+        worlds = [spawn_scenario(make_config(speed_limit=limit, lane_width=width), 3)
+                  for limit, width in ((30, 4), (30.0, 4.0))]
+        for _ in range(20):
+            assert world_hash(worlds[0]) == world_hash(worlds[1])
+            for world in worlds:
+                step(world, Action.FOLLOW)
+
+
 class TestTrafficPolicy:
     def test_leader_beyond_sensor_range_is_free_flow(self):
         world = clear_traffic(spawn_scenario(make_config(), 0))
@@ -305,11 +325,6 @@ class TestTrafficPolicy:
             v = next(u for u in world.vehicles if u.id == vid)
             accel, _ = traffic_policy(world, vid)
             assert accel == idm_accel(v.speed, 10.0, 20.0, v.target_speed)
-
-    def test_rejects_ego(self):
-        world = spawn_scenario(make_config(), 0)
-        with pytest.raises(ValueError):
-            traffic_policy(world, 0)
 
 
 class TestEpisodeLengths:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from s2cd.highway_sim import SimConfig, StepEvents
 from s2cd.mdp_interface import HighwayEnv, RewardBreakdown
@@ -9,6 +10,7 @@ from s2cd.ppo_core import (
     HyperParams,
     RolloutBuffer,
     TrainingAborted,
+    annotate_phase,
     compute_gae,
     evaluate_actor,
     normalize_advantages,
@@ -268,6 +270,44 @@ def make_batch(seed=0, n=48, obs_dim=6):
         "executed": np.ones(n, dtype=bool),
     }
     return batch, actor, critic
+
+
+class TestAnnotatePhase:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 120), st.booleans())
+    def test_columns_match_per_row_forwards(self, seed, steps, synthetic):
+        """Each row's value and ``logprob_old`` are the bits of the per-step
+        critic forward and ``policy_log_probs``; the returned probabilities
+        are the per-step actor outputs."""
+        rng = np.random.default_rng(seed)
+        actor = DenseNet.create(NetSpec(5, 3, head=Head.SOFTMAX_POLICY), rng)
+        critic = DenseNet.create(NetSpec(5, 1, head=Head.SCALAR_VALUE), rng)
+        actor.params *= 3.0
+        critic.params *= 3.0
+        buffer, logits, step_probs, expected = RolloutBuffer(), [], [], []
+        for _ in range(steps):
+            obs = rng.uniform(0, 1, size=5)
+            probs, cache = actor.forward(obs)
+            log_probs = actor.policy_log_probs(cache)
+            value, _ = critic.forward(obs)
+            for executed in [True, False][:1 + (synthetic and rng.random() < 0.5)]:
+                action = int(rng.integers(3))
+                buffer.add(obs=obs, actions=action, rewards=0.0, dones=False,
+                           executed=executed)
+                expected.append((value, float(log_probs[action])))
+            logits.append(cache[1])
+            step_probs.append(probs)
+        probs = annotate_phase(buffer, critic, logits)
+        assert list(zip(buffer.columns["values"].tolist(),
+                        buffer.columns["logprob_old"].tolist())) == expected
+        assert probs.tobytes() == np.array(step_probs).tobytes()
+
+    def test_added_columns_must_be_new_and_cover_every_row(self):
+        buffer = RolloutBuffer()
+        buffer.add(**buffer_row(np.random.default_rng(0)))
+        for columns in ({"values": [1.0]}, {"extra": [1.0, 2.0]}):
+            with pytest.raises(ValueError):
+                buffer.add_columns(**columns)
 
 
 class TestPpoLoss:

@@ -1,20 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from s2cd.highway_sim import SimConfig, StepEvents
+from s2cd.highway_sim import Action, SimConfig, StepEvents
 from s2cd.mdp_interface import HighwayEnv, RewardBreakdown
 from s2cd.ppo_core import (
     EpisodeTracker,
     HyperParams,
     RolloutBuffer,
     normalize_advantages,
+    policy_entropy,
     ppo_loss,
+    sample_action,
 )
 from s2cd.s2cd_engine import (
     CollectorState,
+    CollectStats,
     S2cdHyper,
     SwitchConfig,
     TeacherAugmentedEnv,
@@ -124,6 +128,49 @@ class TestKlPenalty:
     def test_zero_student_mass_stays_finite(self):
         kl = kl_penalty(np.array([0.5, 0.5, 0.0]), np.array([1.0, 0.0, 0.0]))
         assert np.isfinite(kl) and kl > 0
+
+
+def reference_kl(teacher_probs, student_probs):
+    """The per-step KL(teacher || student) of one row, as collection computed
+    it before the phase pass: a sum over the actions the teacher gives
+    mass, with the student floored at 1e-12."""
+    t = np.asarray(teacher_probs, dtype=np.float64)
+    s = np.maximum(np.asarray(student_probs, dtype=np.float64), 1e-12)
+    mask = t > 0.0
+    return float(np.add.reduce(t[mask] * np.log(t[mask] / s[mask])))
+
+
+def probability_rows(n, floors):
+    """``n`` rows of three action probabilities, some entries moved onto one
+    of ``floors`` (0 for a teacher that gives an action no mass, the
+    softmax head's 1e-300 floor, the KL's 1e-12 student floor)."""
+    def build(case):
+        raw, picks = case
+        p = np.asarray(raw) / np.sum(raw, axis=1, keepdims=True)
+        for row, (col, floor) in enumerate(picks):
+            p[row, col] = p[row, col] if floor is None else floor
+        return p
+    row = st.lists(st.floats(1e-6, 1.0), min_size=3, max_size=3)
+    pick = st.tuples(st.integers(0, 2), st.sampled_from([None, *floors]))
+    return st.tuples(st.lists(row, min_size=n, max_size=n),
+                     st.lists(pick, min_size=n, max_size=n)).map(build)
+
+
+class TestPhaseKlAndEntropy:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+        probability_rows(n, [0.0, 1e-300]), probability_rows(n, [1e-12, 1e-300]))))
+    def test_row_passes_match_the_per_step_loop(self, case):
+        teacher, student = case
+        kl, entropy = kl_penalty(teacher, student), policy_entropy(student)
+        sums, step_sums = [0.0, 0.0], [0.0, 0.0]
+        for t, p, kl_row, entropy_row in zip(teacher, student, kl.tolist(), entropy.tolist()):
+            step_kl = reference_kl(t, p)
+            step_entropy = float(-np.add.reduce(p * np.log(p)))
+            assert (kl_row, entropy_row) == (step_kl, step_entropy)
+            sums = [sums[0] + kl_row, sums[1] + entropy_row]
+            step_sums = [step_sums[0] + step_kl, step_sums[1] + step_entropy]
+        assert sums == step_sums
 
 
 class TestAugmentObservation:
@@ -320,7 +367,77 @@ def actor_preferring(action, obs_dim=14, seed=0):
     return net
 
 
+def reference_collect_dual(env, actor, critic, hp, switch_cfg, rng, n_steps, state, buffer):
+    """``collect_dual`` as it ran with every row's work done in its step: a
+    critic forward, the log-softmax of the step's logits, the KL and the
+    entropy, each summed as the step ends."""
+    stats = CollectStats()
+    tau_episode = decay_tau(state.episodes, switch_cfg, hp.intervention_decay)
+    for _ in range(n_steps):
+        if state.done:
+            state.obs = env.reset()
+            state.done = False
+            tau_episode = decay_tau(state.episodes, switch_cfg, hp.intervention_decay)
+        advice = env.last_advice
+        obs = state.obs
+        probs, cache = actor.forward(obs)
+        log_probs = actor.policy_log_probs(cache)
+        a_student = sample_action(probs, rng)
+        intervened = switch_action(float(advice.q_pred[advice.action]),
+                                   float(advice.q_pred[a_student]), tau_episode, switch_cfg)
+        a_exec = advice.action if intervened else a_student
+        eps_prime = adaptive_epsilon(float(probs[a_student]), float(probs[advice.action]),
+                                     hp.psi)
+        value, _ = critic.forward(obs)
+        next_obs, reward, events = env.step(Action(a_exec))
+        state.done = events.episode_done
+        buffer.add(obs=obs, actions=a_exec, rewards=reward.total, dones=state.done,
+                   executed=True, teacher_origin=intervened, eps_prime=eps_prime,
+                   teacher_probs=advice.probs, values=value,
+                   logprob_old=float(log_probs[a_exec]))
+        if hp.dual_source and advice.action != a_exec:
+            buffer.add(obs=obs, actions=advice.action, rewards=advice.r_pred,
+                       dones=state.done, executed=False, teacher_origin=True,
+                       eps_prime=eps_prime, teacher_probs=advice.probs, values=value,
+                       logprob_old=float(log_probs[advice.action]))
+            stats.synthetic_rows += 1
+        stats.steps += 1
+        stats.interventions += int(intervened)
+        stats.kl_sum += reference_kl(advice.probs, probs)
+        stats.entropy_sum += float(-np.add.reduce(probs * np.log(probs)))
+        if state.done:
+            state.episodes += 1
+        state.obs = next_obs
+    return stats
+
+
 class TestCollectDual:
+    @pytest.mark.parametrize("q_pred,teacher_probs,dual_source", [
+        ([0.4, 0.0, 0.0], None, True), ([0.0, 0.0, 0.0], None, True),
+        ([0.4, 0.0, 0.0], [1.0, 0.0, 0.0], True), ([0.4, 0.0, 0.0], None, False)])
+    def test_matches_the_per_step_reference(self, q_pred, teacher_probs, dual_source):
+        hp = S2cdHyper(dual_source=dual_source)
+        runs = []
+        for collect in (collect_dual, reference_collect_dual):
+            env = FakeTeacherEnv(q_pred=q_pred, horizon=40)
+            if teacher_probs is not None:
+                env.last_advice = replace(env.last_advice, probs=np.array(teacher_probs))
+            actor = DenseNet.create(NetSpec(14, 3, head=Head.SOFTMAX_POLICY),
+                                    np.random.default_rng(3))
+            actor.params *= 3.0  # trained-scale logits
+            critic = DenseNet.create(NetSpec(14, 1, head=Head.SCALAR_VALUE),
+                                     np.random.default_rng(1))
+            rng = np.random.default_rng(2)
+            buffer = RolloutBuffer()
+            state = CollectorState(obs=env.reset())
+            stats = collect(env, actor, critic, hp, CFG, rng, 150, state, buffer)
+            runs.append((buffer.finalize(hp, 0.5), stats, state.episodes, rng.random()))
+        (batch, *rest), (ref_batch, *ref_rest) = runs
+        assert rest == ref_rest  # the stats, the episode count and the generator state
+        assert batch.keys() == ref_batch.keys()
+        for key in batch:
+            assert batch[key].tobytes() == ref_batch[key].tobytes(), key
+
     def run_collect(self, env, actor, hp, steps=50):
         critic = DenseNet.create(NetSpec(14, 1, head=Head.SCALAR_VALUE),
                                  np.random.default_rng(1))

@@ -144,6 +144,23 @@ class TestTeacherAdvise:
         assert advice.r_pred == pytest.approx(float(r_all[advice.action]))
         assert advice.q_pred.shape == (3,)
 
+    def test_one_pass_equals_the_three_forwards(self):
+        bundle = make_bundle(seed=5)
+        for net in (bundle.actor, bundle.return_net, bundle.qvalue_net):
+            net.params *= 3.0  # trained-scale weights
+        bundle = TeacherBundle(actor=bundle.actor, critic=bundle.critic,
+                               return_net=bundle.return_net, qvalue_net=bundle.qvalue_net,
+                               quality_tag="high")
+        for obs in np.random.default_rng(2).uniform(0, 1, size=(200, 11)):
+            advice = teacher_advise(bundle, obs)
+            probs, _ = bundle.actor.forward(obs)
+            r_all, _ = bundle.return_net.forward(obs)
+            q_all, _ = bundle.qvalue_net.forward(obs)
+            assert advice.action == int(probs.argmax())
+            assert advice.probs.tobytes() == probs.tobytes()
+            assert advice.r_pred == float(r_all[advice.action])
+            assert advice.q_pred.tobytes() == q_all.tobytes()
+
     def test_rejects_unnormalized_observation(self):
         bundle = make_bundle()
         with pytest.raises(ValueError):
@@ -191,6 +208,15 @@ class TestBundle:
                 qvalue_net=DenseNet.create(NetSpec(11, 3, head=Head.VECTOR_VALUE), rng),
                 quality_tag="high",
             )
+
+    def test_advice_nets_must_share_layer_widths(self):
+        rng = np.random.default_rng(0)
+        bundle = make_bundle()
+        with pytest.raises(ValueError, match="layer widths"):
+            TeacherBundle(actor=bundle.actor, critic=bundle.critic,
+                          return_net=bundle.return_net, quality_tag="high",
+                          qvalue_net=DenseNet.create(
+                              NetSpec(11, 3, hidden=(64, 32), head=Head.VECTOR_VALUE), rng))
 
     def test_save_load_roundtrip(self, tmp_path):
         bundle = make_bundle(seed=9)

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from s2cd.tensor_nn import (
     DenseNet,
@@ -10,6 +14,7 @@ from s2cd.tensor_nn import (
     Head,
     NetSpec,
     OptimState,
+    StackedNets,
     adamw_step,
     load_net,
     log_softmax,
@@ -108,6 +113,77 @@ class TestForwardExactness:
         net = DenseNet.create(NetSpec(4, 1), np.random.default_rng(0))
         with pytest.raises(ValueError):
             net.params = np.zeros(3)
+
+
+@st.composite
+def random_nets(draw, count=1):
+    """``count`` nets of one random architecture, each with a random head of
+    its output width, at weight scales from initial to saturating, and the
+    generator that drew them."""
+    out_dim = draw(st.sampled_from([1, 3]))
+    heads = [Head.SCALAR_VALUE] if out_dim == 1 else [Head.SOFTMAX_POLICY, Head.VECTOR_VALUE]
+    hidden = draw(st.one_of(st.just((64, 64)),
+                            st.lists(st.integers(1, 80), min_size=1, max_size=3).map(tuple)))
+    input_dim = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nets = []
+    for _ in range(count):
+        spec = NetSpec(input_dim, out_dim, hidden=hidden, head=draw(st.sampled_from(heads)))
+        net = DenseNet.create(spec, rng)
+        net.params *= draw(st.sampled_from([1.0, 3.0, 30.0]))
+        nets.append(net)
+    return nets, rng
+
+
+class TestStackedRows:
+    """A stack of (1, d) rows runs one gemv per row, as the single forward
+    does, so every row keeps its single-forward bits; a gemm batch does not
+    (ROADMAP item 1). ``test_avx2_tier`` re-runs these under the AVX2 tier."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_nets(), st.integers(1, 300))
+    def test_row_stack_matches_single_forwards(self, case, n):
+        (net,), rng = case
+        rows = rng.uniform(-1, 1, size=(n, net.spec.input_dim))
+        single = np.array([net.forward(x)[0] for x in rows])
+        assert net.forward_rows(rows).tobytes() == single.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_nets(count=3), st.integers(1, 20))
+    def test_three_net_stack_matches_each_forward(self, case, n):
+        nets, rng = case
+        stack = StackedNets(nets)
+        for x in rng.uniform(-1, 1, size=(n, nets[0].spec.input_dim)):
+            for net, out in zip(nets, stack.forward(x)):
+                assert np.asarray(out).tobytes() == np.asarray(net.forward(x)[0]).tobytes()
+
+    def test_stack_rejects_other_widths_and_bad_input(self):
+        rng = np.random.default_rng(0)
+        a = DenseNet.create(NetSpec(4, 3, hidden=(8, 8), head=Head.VECTOR_VALUE), rng)
+        with pytest.raises(ValueError, match="layer widths"):
+            StackedNets([a, DenseNet.create(NetSpec(4, 3, hidden=(8, 9),
+                                                    head=Head.VECTOR_VALUE), rng)])
+        stack = StackedNets([a, a.copy()])
+        with pytest.raises(ValueError, match="non-finite network input"):
+            stack.forward(np.array([0.0, np.nan, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="input dim"):
+            stack.forward(np.zeros(5))
+
+    def test_avx2_tier(self):
+        """The two properties above in a process that uses OpenBLAS's Haswell
+        kernels and numpy's AVX2 loops, set before numpy loads."""
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_SKX AVX512_CLX AVX512_CNL "
+                                            "AVX512_ICL AVX512_SPR",
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(Path(__file__).resolve().parents[1] / "src"),
+                       os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k",
+             "row_stack_matches or three_net_stack_matches"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout[-3000:] + done.stderr[-3000:]
+        assert "2 passed" in done.stdout
 
 
 class TestForward:
