@@ -43,8 +43,8 @@ ABLATION_FLAGS = {
     "no-decay": ("intervention_decay", False),
 }
 
-# Desk-scale defaults: the student budget keeps the 3:5 ratio against the
-# plain-PPO baseline budget.
+# Desk-scale budgets. `train-student --baseline` defaults to DESK_STUDENT_STEPS;
+# the desk comparison (tests/acceptance_artifacts.py) passes DESK_BASELINE_STEPS.
 DESK_TEACHER_STEPS = 100_000
 DESK_STUDENT_STEPS = 60_000
 DESK_BASELINE_STEPS = 100_000

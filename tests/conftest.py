@@ -1,19 +1,1 @@
-import pytest
-
-from acceptance_artifacts import ACCEPT_SEEDS, build_seed_run, build_teacher_pair, cache_dir
-
-
-@pytest.fixture(scope="session")
-def teacher_pair():
-    """High- and low-budget teacher bundles trained on the same seed."""
-    return build_teacher_pair(cache_dir())
-
-
-@pytest.fixture(scope="session")
-def matched_runs(teacher_pair):
-    """Per-seed artifacts: the gated student at its desk budget, a plain-PPO
-    run at the same (matched) budget, and the plain-PPO baseline at its own
-    desk budget, plus greedy evaluations."""
-    bundle = teacher_pair["high"][0]
-    cache = cache_dir()
-    return [build_seed_run(bundle, seed, cache) for seed in ACCEPT_SEEDS]
+from acceptance_artifacts import accept_root, matched_runs, teacher_pair  # noqa: F401 (fixtures)
