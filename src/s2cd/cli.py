@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .highway_sim import SimConfig, check_number_fields
-from .mdp_interface import OBS_DIM, HighwayEnv, RewardConfig
+from .highway_sim import Action, SimConfig, check_number_fields
+from .mdp_interface import HighwayEnv, RewardConfig
 from .ppo_core import HyperParams, TrainingAborted, evaluate_actor, train_ppo
 from .s2cd_engine import S2cdHyper, SwitchConfig, TeacherAugmentedEnv, train_s2cd
 from .teacher_suite import (QUALITY_TAGS, load_bundle, save_bundle, teacher_hyper,
@@ -249,13 +249,14 @@ def cmd_train_student(args) -> int:
         if args.bundle is None:
             raise ConfigError("train-student requires --bundle (or --baseline)")
         bundle = load_bundle(args.bundle)
-        if bundle.input_dim != OBS_DIM:
-            raise ConfigError("bundle observation size does not match the environment")
         hp = _apply_ablations(run.s2cd, args.ablate)
         hp.check_clip()
+        ablations = ",".join(flag for flag, (key, off) in ABLATION_FLAGS.items()
+                             if getattr(hp, key) == off)
+    eval_envs = [_eval_env(run, seed, bundle) for seed in seeds]  # checks the bundle width
     out = _start_outputs(args, run)
 
-    for seed in seeds:
+    for seed, eval_env in zip(seeds, eval_envs):
         run_dir = out / f"seed_{seed}"
         run_dir.mkdir(parents=True, exist_ok=True)
         env = HighwayEnv(run.sim, run.reward, master_seed=seed)
@@ -265,9 +266,9 @@ def cmd_train_student(args) -> int:
         else:
             result = train_s2cd(env, bundle, hp, run.switch, seed=seed)
             columns = S2CD_COLUMNS
-            manifest = {"kind": "s2cd_student", "ablations": args.ablate or ""}
+            manifest = {"kind": "s2cd_student", "ablations": ablations}
         rows = [m.row() for m in result.metrics]
-        summary = evaluate_actor(_eval_env(run, seed, bundle), result.actor, run.eval_episodes)
+        summary = evaluate_actor(eval_env, result.actor, run.eval_episodes)
         manifest.update(seed=seed, total_steps=hp.total_steps,
                         eval_success=summary["success_rate"])
         if bundle is not None:
@@ -299,30 +300,23 @@ def _load_checkpoint(path: Path):
 def cmd_evaluate(args) -> int:
     run = load_config(args.config, "evaluate")
     kind, actor, bundle = _load_checkpoint(Path(args.checkpoint))
-    if bundle is not None and bundle.input_dim != OBS_DIM:
-        raise ConfigError("checkpoint bundle does not match the eval environment")
-    if bundle is None and actor.spec.input_dim != OBS_DIM:
-        raise ConfigError("checkpoint observation size does not match the environment")
+    envs = [_eval_env(run, seed, bundle) for seed in run.seeds]  # checks the bundle width
+    widths = (actor.spec.input_dim, actor.spec.output_dim)
+    if widths != (envs[0].obs_dim, len(Action)):
+        raise ConfigError(f"checkpoint actor maps {widths[0]} inputs to {widths[1]} actions; "
+                          f"the eval environment has {envs[0].obs_dim} and {len(Action)}")
     out = _start_outputs(args, run)
 
     per_seed = []
     episodes = []
-    for seed in run.seeds:
-        summary = evaluate_actor(_eval_env(run, seed, bundle), actor,
-                                 episodes=run.eval_episodes)
+    for seed, env in zip(run.seeds, envs):
+        summary = evaluate_actor(env, actor, episodes=run.eval_episodes)
         for i, ep in enumerate(summary.pop("episodes")):
             episodes.append({"seed": seed, "episode": i, **ep, "success": int(ep["success"])})
         per_seed.append({"seed": seed, **summary})
 
-    agg = {
-        "kind": kind,
-        "episodic_return": float(np.mean([r["episodic_return"] for r in per_seed])),
-        "episodic_reward": float(np.mean([r["episodic_reward"] for r in per_seed])),
-        "episodic_cost": float(np.mean([r["episodic_cost"] for r in per_seed])),
-        "episodic_speed": float(np.mean([r["episodic_speed"] for r in per_seed])),
-        "success_rate": float(np.mean([r["success_rate"] for r in per_seed])),
-        "per_seed": per_seed,
-    }
+    agg = {key: float(np.mean([r[key] for r in per_seed])) for key in summary}
+    agg.update(kind=kind, per_seed=per_seed)
     write_atomic(out / "eval_summary.json", json.dumps(agg, sort_keys=True, indent=2))
     _write_csv(out / "episodes.csv", episodes,
                ["seed", "episode", "return", "reward", "cost", "speed", "success"])

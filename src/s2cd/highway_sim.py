@@ -135,15 +135,12 @@ class SimConfig:
         for f in fields(self):
             if f.type in ("float", "float | None"):
                 setattr(self, f.name, float(getattr(self, f.name)))
-        for name in ("decisions_per_second", "speed_limit", "episode_length", "lane_width"):
+        for name in ("decisions_per_second", "speed_limit", "episode_length", "lane_width",
+                     "sim_dt", "sensor_range"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         if self.lanes_count < 2:
             raise ValueError("lanes_count must be at least 2")
-        if self.sim_dt <= 0:
-            raise ValueError("sim_dt must be positive")
-        if self.sensor_range <= 0:
-            raise ValueError("sensor_range must be positive")
         if self.substeps_per_decision < 1:
             raise ValueError("decision interval must cover at least one sim step")
         interval = 1.0 / self.decisions_per_second
@@ -210,7 +207,8 @@ class WorldState:
     indexed by lane (``lanes()``); ``spawn_scenario`` and ``step`` sort and
     index it. Code that edits vehicles' lanes or positions in place between
     steps calls ``sort_vehicles()``; a replaced or resized list is indexed
-    again on its next use."""
+    again on its next use, and must still hold the ego record, which is
+    found once, at construction."""
 
     config: SimConfig
     vehicles: list[VehicleState]
@@ -220,12 +218,15 @@ class WorldState:
     substep_count: int = 0
     terminal: bool = False
     _lanes: LaneIndex | None = field(default=None, init=False, repr=False, compare=False)
+    _ego: VehicleState | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._ego = next((v for v in self.vehicles if v.is_ego), None)
+        if self._ego is None:
+            raise RuntimeError("world has no ego vehicle")
 
     def ego(self) -> VehicleState:
-        for v in self.vehicles:
-            if v.is_ego:
-                return v
-        raise RuntimeError("world has no ego vehicle")
+        return self._ego
 
     def sort_vehicles(self) -> None:
         """Sort the vehicles by (lane, position) and index them by lane."""
@@ -427,15 +428,13 @@ def _advance_substep(world: WorldState, traffic_decides: bool) -> None:
         speed = v.speed + a * dt
         speed = 0.0 if 0.0 > speed else speed
         v.speed = speed = limit if limit < speed else speed
-        dx = speed * dt
-        v.longitudinal_pos += dx
-        if v.is_ego:
-            world.ego_distance_travelled += dx
+        v.longitudinal_pos += speed * dt
         if v.lane_change is not None:
             if simple:
                 _advance_simple_maneuver(cfg, v)
             else:
                 _advance_complex_maneuver(cfg, v, dt)
+    world.ego_distance_travelled += world.ego().speed * dt
     world.sort_vehicles()
 
 

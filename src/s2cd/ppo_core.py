@@ -158,6 +158,17 @@ def policy_entropy(probs: np.ndarray) -> np.ndarray:
     return -np.add.reduce(probs * np.log(probs), axis=-1)
 
 
+def kl_penalty(teacher_probs: np.ndarray, student_probs: np.ndarray) -> np.ndarray:
+    """KL(teacher || student) of each row of action probabilities (the last
+    axis). The student side is floored so the result stays finite; a zero
+    teacher entry adds nothing."""
+    t = np.asarray(teacher_probs, dtype=np.float64)
+    s = np.maximum(np.asarray(student_probs, dtype=np.float64), 1e-12)
+    mask = t > 0.0
+    return np.add.reduce(np.where(mask, t * np.log(np.where(mask, t, 1.0) / s), 0.0),
+                         axis=-1)
+
+
 def normalize_advantages(adv: np.ndarray) -> np.ndarray:
     return (adv - adv.mean()) / (adv.std() + 1e-8)
 
@@ -241,10 +252,7 @@ def ppo_loss(batch: dict[str, np.ndarray], policy_net: DenseNet, value_net: Dens
                             * (log_probs + entropy[:, None]), 0.0)
         if kl_weight > 0.0:
             t_probs = batch["teacher_probs"]
-            kl_terms = np.where(t_probs > 0, t_probs * (np.log(np.maximum(t_probs, 1e-300))
-                                                        - np.log(np.maximum(probs, 1e-12))),
-                                0.0).sum(axis=1)
-            mean_kl = float(kl_terms[executed].mean())
+            mean_kl = float(kl_penalty(t_probs, probs)[executed].mean())
             # KL(teacher || student) gradient w.r.t. logits is (student - teacher)
             dlogits += np.where(exec_col, (kl_weight / n_exec) * (probs - t_probs), 0.0)
     loss = float(-surrogate + hp.value_coef * value_loss
@@ -358,7 +366,7 @@ def train_phases(env, hp: HyperParams, seed: int, collect, on_phase=None) -> Tra
     minibatched updates on the batch.
     """
     rng = np.random.default_rng(seed)
-    actor = DenseNet.create(NetSpec(env.obs_dim, 3, head=Head.SOFTMAX_POLICY), rng)
+    actor = DenseNet.create(NetSpec(env.obs_dim, len(Action), head=Head.SOFTMAX_POLICY), rng)
     critic = DenseNet.create(NetSpec(env.obs_dim, 1, head=Head.SCALAR_VALUE), rng)
     opt_actor = OptimState.for_net(actor, base_lr=hp.base_lr, lr_decay=hp.lr_decay)
     opt_critic = OptimState.for_net(critic, base_lr=hp.base_lr, lr_decay=hp.lr_decay)

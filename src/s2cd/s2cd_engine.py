@@ -40,6 +40,7 @@ from .ppo_core import (
     TrainResult,
     annotate_phase,
     compute_gae,
+    kl_penalty,
     policy_entropy,
     ppo_loss,
     sample_action,
@@ -115,20 +116,9 @@ def adaptive_epsilon(p_student: float, p_teacher: float, psi: float) -> float:
     return psi * ((p_student - p_teacher) + 1.0) / 2.0
 
 
-def kl_penalty(teacher_probs: np.ndarray, student_probs: np.ndarray) -> np.ndarray:
-    """KL(teacher || student) of each row of action probabilities (the last
-    axis). The student side is floored so the result stays finite; a zero
-    teacher entry adds nothing."""
-    t = np.asarray(teacher_probs, dtype=np.float64)
-    s = np.maximum(np.asarray(student_probs, dtype=np.float64), 1e-12)
-    mask = t > 0.0
-    return np.add.reduce(np.where(mask, t * np.log(np.where(mask, t, 1.0) / s), 0.0),
-                         axis=-1)
-
-
 def augment_observation(obs: np.ndarray, teacher_action: int) -> np.ndarray:
     """Base observation concatenated with a one-hot of the teacher's action."""
-    onehot = np.zeros(3)
+    onehot = np.zeros(len(Action))
     onehot[teacher_action] = 1.0
     return np.concatenate([np.asarray(obs, dtype=np.float64), onehot])
 
@@ -173,7 +163,7 @@ class TeacherAugmentedEnv:
 
     @property
     def obs_dim(self) -> int:
-        return self.env.obs_dim + 3
+        return self.env.obs_dim + len(Action)
 
     def _augment(self, raw: np.ndarray) -> np.ndarray:
         self.last_advice = teacher_advise(self.bundle, raw)

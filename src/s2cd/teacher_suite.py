@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .highway_sim import Action
 from .ppo_core import HyperParams, TrainResult, train_ppo
 from .tensor_nn import (
     DenseNet,
@@ -25,11 +26,10 @@ from .tensor_nn import (
     write_atomic,
 )
 
-QUALITY_TAGS = ("high", "low", "complex")
-
 # Collection-budget multiplier per quality tag: a low-quality teacher gets
 # half the high-quality budget.
 QUALITY_BUDGET_SCALE = {"high": 1.0, "low": 0.5, "complex": 1.0}
+QUALITY_TAGS = tuple(QUALITY_BUDGET_SCALE)
 
 # Fewest supervised rows the predictor heads are fitted on.
 MIN_FIT_ROWS = 1000
@@ -73,6 +73,9 @@ class TeacherBundle:
                 self.return_net.spec.input_dim, self.qvalue_net.spec.input_dim}
         if len(dims) != 1:
             raise ValueError("bundle networks disagree on input dimension")
+        if self.actor.spec.output_dim != len(Action):
+            raise ValueError(f"bundle actor has {self.actor.spec.output_dim} outputs; "
+                             f"the action space has {len(Action)}")
         if self.quality_tag not in QUALITY_TAGS:
             raise ValueError(f"unknown quality tag {self.quality_tag!r}")
         self.advice_nets = StackedNets([self.actor, self.return_net, self.qvalue_net])
@@ -144,7 +147,7 @@ def fit_value_heads(obs: np.ndarray, actions: np.ndarray, rewards: np.ndarray,
     def fresh_head(y: np.ndarray) -> DenseNet:
         # zero final weights, bias at the target mean: the net starts as the
         # best constant predictor and learns structure from there
-        net = DenseNet.create(NetSpec(obs_dim, 3, head=Head.VECTOR_VALUE), rng)
+        net = DenseNet.create(NetSpec(obs_dim, len(Action), head=Head.VECTOR_VALUE), rng)
         n_final = (net.spec.dims[-2] + 1) * net.spec.dims[-1]
         net.params[-n_final:] = 0.0
         net.params[-net.spec.dims[-1]:] = float(y.mean())

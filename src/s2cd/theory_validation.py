@@ -5,10 +5,12 @@ values by fixed-point iteration (cross-checked against direct linear solves
 in the tests), discounted state visitation by linear solve, and the
 Q-value-gap switch applied state by state.
 
-Both fixed-point loops (policy evaluation and value iteration) run blocks
-of ``_SWEEP_BLOCK`` sweeps and check the sup-norm residual once per block.
-They return the first sweep whose residual is below ``VALUE_TOL``, so the
-result is bit-identical to checking after every sweep.
+The fixed-point loop of policy evaluation runs blocks of ``_SWEEP_BLOCK``
+sweeps and checks the sup-norm residual once per block. It returns the
+first sweep whose residual is below ``VALUE_TOL``, so the result is
+bit-identical to checking after every sweep. Value iteration, which only
+the test oracle ``optimal_policy`` in ``tests/test_theory_validation.py``
+runs, uses the same loop.
 
 Policy evaluation takes lists of (MDP, policy) pairs and iterates every
 pair that shares an exact state count S as one stack: each sweep is one
@@ -294,6 +296,8 @@ def check_performance_bound(mdps: Sequence[TabularMdp], teachers: Sequence[np.nd
         j_teacher = float(mdp.initial_dist @ result.v_teacher)
         lhs = abs(j_mix - j_teacher)
 
+        # KL as written here, not ppo_core.kl_penalty: that rounds differently,
+        # and these bits are in every theory_report.json
         s_floor = np.maximum(student, 1e-12)
         kl_per_state = np.where(teacher > 0,
                                 teacher * (np.log(np.maximum(teacher, 1e-300)) - np.log(s_floor)),

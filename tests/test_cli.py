@@ -270,6 +270,39 @@ class TestErrorReporting:
         assert not out.exists()
         assert f"config error: {bundle / 'return_net.json'}" in capsys.readouterr().err
 
+    def test_evaluate_baseline_actor_beside_a_bundle_is_a_config_error(self, tmp_path, capsys,
+                                                                       teacher_dir):
+        # the bundle makes the eval observations 14 wide; this actor reads 11
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(teacher_dir / "seed_1" / "bundle", ckpt / "bundle")
+        (ckpt / "manifest.json").write_text(json.dumps({"kind": "ppo_baseline"}))
+        save_net(DenseNet.create(NetSpec(11, 3, head=Head.SOFTMAX_POLICY),
+                                 np.random.default_rng(0)), ckpt / "actor.json")
+        cfg = write_config(tmp_path, "eval.json", MICRO_STUDENT)
+        out = tmp_path / "out"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--config", cfg,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error: checkpoint actor maps 11 inputs" in capsys.readouterr().err
+
+    def test_bundle_with_another_action_count_is_a_config_error(self, tmp_path, capsys,
+                                                                teacher_dir):
+        bundle = tmp_path / "bundle"
+        shutil.copytree(teacher_dir / "seed_1" / "bundle", bundle)
+        hidden = load_bundle(bundle).actor.spec.hidden
+        rng = np.random.default_rng(0)
+        for name, head in (("actor", Head.SOFTMAX_POLICY), ("return_net", Head.VECTOR_VALUE),
+                           ("qvalue_net", Head.VECTOR_VALUE)):
+            save_net(DenseNet.create(NetSpec(11, 4, hidden=hidden, head=head), rng),
+                     bundle / f"{name}.json")
+        cfg = write_config(tmp_path, "student.json", MICRO_STUDENT)
+        for argv in (["train-student", "--bundle", str(bundle)],
+                     ["evaluate", "--checkpoint", str(bundle)]):
+            out = tmp_path / "out"
+            assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+            assert not out.exists()
+            assert "config error: bundle actor has 4 outputs" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["directory", "missing"])
     def test_unreadable_config_rejected_before_outputs(self, tmp_path, capsys, kind):
         cfg = tmp_path / "cfg"
@@ -379,6 +412,20 @@ class TestTrainStudentCommand:
             assert code == 0
             manifest = json.loads((out / "seed_1" / "manifest.json").read_text())
             assert manifest["ablations"] == flag
+
+    @pytest.mark.parametrize("s2cd,ablate,expected", [
+        ({"kl_constraint": False}, None, "no-kl"),
+        ({}, "no-decay, no-kl", "no-kl,no-decay"),
+    ])
+    def test_manifest_names_the_switches_that_are_off(self, tmp_path, teacher_dir, s2cd,
+                                                      ablate, expected):
+        cfg = write_config(tmp_path, "student.json", {**MICRO_STUDENT, "s2cd": s2cd})
+        out = tmp_path / "out"
+        argv = ["train-student", "--config", cfg, "--out", str(out),
+                "--bundle", str(teacher_dir / "seed_1" / "bundle")]
+        assert main(argv + (["--ablate", ablate] if ablate else [])) == 0
+        manifest = json.loads((out / "seed_1" / "manifest.json").read_text())
+        assert manifest["ablations"] == expected
 
 
 class TestEvaluateCommand:

@@ -227,6 +227,18 @@ class TestDeterminismAndInvariants:
         world = spawn_scenario(make_config(), 6)
         assert sum(v.is_ego for v in world.vehicles) == 1
 
+    def test_ego_is_the_spawned_record(self):
+        world = spawn_scenario(make_config(), 6)
+        ego = next(v for v in world.vehicles if v.is_ego)
+        for _ in range(20):
+            step(world, Action.FOLLOW)
+        assert world.ego() is ego
+        world.vehicles = [v for v in world.vehicles if v.is_ego or v.lane_index != 0]
+        step(world, Action.LEFT_LANE_CHANGE)
+        assert world.ego() is ego and ego.lane_change is not None
+        with pytest.raises(RuntimeError, match="no ego"):
+            WorldState(config=world.config, vehicles=world.vehicles[:0])
+
 
 class TestCollision:
     def test_same_lane_overlap(self):

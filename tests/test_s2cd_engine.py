@@ -291,6 +291,14 @@ class TestS2cdLoss:
         assert loss_on == pytest.approx(loss_off + 0.5 * stats_on["mean_kl"], abs=1e-12)
         assert stats_on["mean_kl"] >= 0.0
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_loss_kl_is_the_logged_kl(self, seed):
+        batch, actor, critic = make_dual_batch(seed=seed, all_executed=False)
+        _, _, stats = ppo_loss(batch, actor, critic, S2cdHyper(), kl_weight=0.3)
+        probs, _ = actor.forward(batch["obs"])
+        kl = kl_penalty(batch["teacher_probs"], probs)[batch["executed"]]
+        assert stats["mean_kl"] == float(kl.mean())
+
     @pytest.mark.parametrize("flags", [
         dict(),
         dict(adaptive_clip=False),
