@@ -20,7 +20,7 @@ import numpy as np
 
 from .highway_sim import Action, SimConfig, check_number_fields
 from .mdp_interface import HighwayEnv, RewardConfig
-from .ppo_core import HyperParams, TrainingAborted, evaluate_actor, train_ppo
+from .ppo_core import HyperParams, PhaseMetrics, TrainingAborted, evaluate_actor, train_ppo
 from .s2cd_engine import S2cdHyper, SwitchConfig, TeacherAugmentedEnv, train_s2cd
 from .teacher_suite import (QUALITY_TAGS, load_bundle, save_bundle, teacher_hyper,
                             train_teacher)
@@ -32,9 +32,8 @@ class ConfigError(ValueError):
     pass
 
 
-PPO_COLUMNS = ["step", "mean_return", "mean_cost", "mean_speed", "collisions",
-               "entropy", "kl", "intervention_rate"]
-S2CD_COLUMNS = PPO_COLUMNS + ["tau", "mean_kl", "teacher_sample_fraction"]
+S2CD_COLUMNS = [f.name for f in dataclass_fields(PhaseMetrics)]
+PPO_COLUMNS = S2CD_COLUMNS[:S2CD_COLUMNS.index("tau")]
 
 ABLATION_FLAGS = {
     "no-dual-source": ("dual_source", False),

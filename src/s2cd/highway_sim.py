@@ -250,6 +250,7 @@ class StepEvents:
     episode_done: bool = False
     success: bool = False
     command_degraded: bool = False
+    ego_speed: float = 0.0
 
 
 def spawn_scenario(config: SimConfig, seed: int) -> WorldState:
@@ -547,7 +548,7 @@ def _ego_collides(cfg: SimConfig, lanes: LaneIndex, ego: VehicleState) -> bool:
 
 
 def detect_collision(world: WorldState, collided: bool | None = None) -> StepEvents:
-    """Collision/gap snapshot of the current world.
+    """Collision/gap snapshot of the current world, with the ego's speed.
 
     Collision is rectangle overlap of the ego with any vehicle, or the ego
     rectangle leaving the road's lateral extent. Gaps are bumper-to-bumper
@@ -568,7 +569,7 @@ def detect_collision(world: WorldState, collided: bool | None = None) -> StepEve
     reached_goal = world.ego_distance_travelled >= cfg.episode_length
     return StepEvents(collision=collided, min_gap_front=front, min_gap_rear=rear,
                       episode_done=collided or reached_goal,
-                      success=reached_goal and not collided)
+                      success=reached_goal and not collided, ego_speed=ego.speed)
 
 
 def world_hash(world: WorldState) -> str:

@@ -148,9 +148,6 @@ class HighwayEnv:
         reward = step_reward(events, self.world, self.reward_config)
         return self._observe(), reward, events
 
-    def ego_speed(self) -> float:
-        return self.world.ego().speed
-
     def _observe(self) -> np.ndarray:
         """Speeds over the speed limit, distances over the sensor range."""
         limit, sensor = self.config.speed_limit, self.config.sensor_range

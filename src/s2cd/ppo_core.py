@@ -5,6 +5,8 @@ loss with value and entropy terms, minibatched epoch updates.
 optimizers, the collector state and the update schedule, and calls a
 per-phase collection function. ``train_ppo`` supplies plain PPO's; the
 teacher runs ``train_ppo`` and the S2CD student supplies its own.
+``collect_steps`` is the one collection step loop: plain PPO runs it
+ungated, and the S2CD student's ``collect_dual`` is a gate on it.
 ``RolloutBuffer`` is the one rollout store: a collection adds rows of
 named columns, each step holding only the work that picks its action;
 ``annotate_phase`` then adds the critic values and old log-probabilities
@@ -18,7 +20,7 @@ and a KL weight.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -269,7 +271,7 @@ def ppo_loss(batch: dict[str, np.ndarray], policy_net: DenseNet, value_net: Dens
 @dataclass
 class PhaseMetrics:
     """One row of ``metrics.csv``. Plain PPO leaves the teacher fields at
-    their defaults; the CLI writes them for S2CD runs only."""
+    their defaults, and its ``metrics.csv`` stops at ``intervention_rate``."""
     step: int
     mean_return: float
     mean_cost: float
@@ -293,40 +295,48 @@ class TrainResult:
     metrics: list[PhaseMetrics]
 
 
-class EpisodeTracker:
-    """Running episodic statistics over a collection phase."""
+@dataclass
+class CollectorState:
+    """Where collection stands between steps and phases: the next
+    observation, whether the last step ended an episode, the number of
+    ended episodes (the S2CD switch schedules by it), and the running
+    episodic statistics of the current phase."""
+    obs: np.ndarray
+    done: bool = False
+    episodes: int = 0
+    ep_return: float = 0.0
+    ep_cost: float = 0.0
+    completed_returns: list[float] = field(default_factory=list)
+    completed_costs: list[float] = field(default_factory=list)
+    speeds: list[float] = field(default_factory=list)
+    collisions: int = 0
 
-    def __init__(self):
-        self.ep_return = 0.0
-        self.ep_cost = 0.0
-        self.completed_returns: list[float] = []
-        self.completed_costs: list[float] = []
-        self.speeds: list[float] = []
-        self.collisions = 0
-
-    def record(self, reward, events, speed: float) -> None:
+    def record(self, reward, events) -> None:
+        """Account one env step: its reward, its ego speed and, when it
+        ended an episode, that episode's return and cost."""
         self.ep_return += reward.total
         self.ep_cost += reward.cost
-        self.speeds.append(speed)
+        self.speeds.append(events.ego_speed)
         if events.collision:
             self.collisions += 1
-        if events.episode_done:
+        self.done = events.episode_done
+        if self.done:
+            self.episodes += 1
             self.completed_returns.append(self.ep_return)
             self.completed_costs.append(self.ep_cost)
             self.ep_return = 0.0
             self.ep_cost = 0.0
 
-    def phase_summary(self) -> tuple[float, float, float, int]:
+    def end_phase(self) -> tuple[float, float, float, int]:
+        """The phase's mean episode return and cost, mean ego speed and
+        collision count; the next phase starts from empty statistics."""
         mean_ret = float(np.mean(self.completed_returns)) if self.completed_returns else 0.0
         mean_cost = float(np.mean(self.completed_costs)) if self.completed_costs else 0.0
         mean_speed = float(np.mean(self.speeds)) if self.speeds else 0.0
-        return mean_ret, mean_cost, mean_speed, self.collisions
-
-    def reset_phase(self) -> None:
-        self.completed_returns = []
-        self.completed_costs = []
-        self.speeds = []
+        summary = mean_ret, mean_cost, mean_speed, self.collisions
+        self.completed_returns, self.completed_costs, self.speeds = [], [], []
         self.collisions = 0
+        return summary
 
 
 # rng.choice's tolerance on the sum of the probabilities it is given
@@ -345,22 +355,46 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), "right"))
 
 
-@dataclass
-class CollectorState:
-    """Where collection stands between phases: the next observation and
-    whether the last step ended an episode. ``episodes`` counts ended
-    episodes for a collector that schedules by them (the S2CD switch)."""
-    obs: np.ndarray
-    done: bool = False
-    episodes: int = 0
+def collect_steps(env, actor: DenseNet, critic: DenseNet, rng: np.random.Generator,
+                  state: CollectorState, buffer: RolloutBuffer, n_steps: int,
+                  gate=None) -> np.ndarray:
+    """Collect ``n_steps`` env steps into ``buffer``; returns the steps'
+    action probabilities (``annotate_phase``).
+
+    A step resets the env after an ended episode, samples the actor's
+    action (the step's one generator draw), executes it, stores its row and
+    records it in ``state``. ``gate(probs, sampled_action)``, when given,
+    returns the action to execute, the extra columns of its row, and the
+    columns of a row that was not executed (or None), which shares the
+    step's ``obs`` and ``dones``.
+    """
+    logits = []
+    for _ in range(n_steps):
+        if state.done:
+            state.obs = env.reset()
+        obs = state.obs
+        probs, (_, step_logits, _, _) = actor.forward(obs)
+        action = sample_action(probs, rng)
+        extra, alternative = {}, None
+        if gate is not None:
+            action, extra, alternative = gate(probs, action)
+        state.obs, reward, events = env.step(Action(action))
+        state.record(reward, events)
+        buffer.add(obs=obs, actions=action, rewards=reward.total, dones=state.done,
+                   executed=True, **extra)
+        if alternative is not None:
+            buffer.add(obs=obs, dones=state.done, executed=False, **alternative)
+        logits.append(step_logits)
+    return annotate_phase(buffer, critic, logits)
 
 
 def train_phases(env, hp: HyperParams, seed: int, collect, on_phase=None) -> TrainResult:
     """The training loop of plain PPO, the teacher and the S2CD student.
 
-    Each phase ``collect(actor, critic, rng, state, buffer, tracker)`` fills
-    a fresh ``RolloutBuffer`` with ``hp.rollout_steps`` steps and returns
-    the phase's loss function and its non-episodic ``PhaseMetrics`` fields.
+    Each phase ``collect(actor, critic, rng, state, buffer)`` fills a fresh
+    ``RolloutBuffer`` with ``hp.rollout_steps`` steps and returns the
+    phase's loss function and its non-episodic ``PhaseMetrics`` fields; the
+    episodic ones come from the ``CollectorState``.
     The loop then bootstraps, finalizes the buffer into the phase's batch,
     calls ``on_phase(batch, bootstrap)`` when given and runs the
     minibatched updates on the batch.
@@ -371,15 +405,13 @@ def train_phases(env, hp: HyperParams, seed: int, collect, on_phase=None) -> Tra
     opt_actor = OptimState.for_net(actor, base_lr=hp.base_lr, lr_decay=hp.lr_decay)
     opt_critic = OptimState.for_net(critic, base_lr=hp.base_lr, lr_decay=hp.lr_decay)
 
-    tracker = EpisodeTracker()
     state = CollectorState(obs=env.reset())
     metrics: list[PhaseMetrics] = []
     n_phases = max(1, hp.total_steps // hp.rollout_steps)
 
     for phase in range(n_phases):
-        tracker.reset_phase()
         buffer = RolloutBuffer()
-        loss_fn, fields = collect(actor, critic, rng, state, buffer, tracker)
+        loss_fn, fields = collect(actor, critic, rng, state, buffer)
         bootstrap = 0.0 if state.done else critic.forward(state.obs)[0]
         batch = buffer.finalize(hp, bootstrap)
         if on_phase is not None:
@@ -389,31 +421,17 @@ def train_phases(env, hp: HyperParams, seed: int, collect, on_phase=None) -> Tra
                           loss_fn)
         del batch  # the next phase collects without this phase's arrays alive
         metrics.append(PhaseMetrics((phase + 1) * hp.rollout_steps,
-                                    *tracker.phase_summary(), kl=kl, **fields))
+                                    *state.end_phase(), kl=kl, **fields))
 
     return TrainResult(actor=actor, critic=critic, metrics=metrics)
 
 
 def train_ppo(env, hp: HyperParams, seed: int, on_phase=None) -> TrainResult:
-    """Train PPO on any env exposing reset()/step()/obs_dim/ego_speed().
-    ``on_phase`` is passed to ``train_phases``."""
+    """Train PPO on any env exposing reset()/step()/obs_dim. ``on_phase``
+    is passed to ``train_phases``."""
 
-    def collect(actor, critic, rng, state, buffer, tracker):
-        logits = []
-        for _ in range(hp.rollout_steps):
-            if state.done:
-                state.obs = env.reset()
-                state.done = False
-            obs = state.obs
-            probs, (_, step_logits, _, _) = actor.forward(obs)
-            action = sample_action(probs, rng)
-            state.obs, reward, events = env.step(Action(action))
-            state.done = events.episode_done
-            buffer.add(obs=obs, actions=action, rewards=reward.total, dones=state.done,
-                       executed=True)
-            logits.append(step_logits)
-            tracker.record(reward, events, env.ego_speed())
-        probs = annotate_phase(buffer, critic, logits)
+    def collect(actor, critic, rng, state, buffer):
+        probs = collect_steps(env, actor, critic, rng, state, buffer, hp.rollout_steps)
         return ppo_loss, {"entropy": float(np.mean(policy_entropy(probs)))}
 
     return train_phases(env, hp, seed, collect, on_phase)
@@ -467,7 +485,7 @@ def evaluate_actor(env, actor: DenseNet, episodes: int) -> dict:
             obs, reward, events = env.step(Action(int(np.argmax(probs))))
             ep_reward += reward.efficiency
             ep_cost += reward.cost
-            speeds.append(env.ego_speed())
+            speeds.append(events.ego_speed)
             if events.episode_done:
                 success = events.success
                 break

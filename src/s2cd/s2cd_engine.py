@@ -9,11 +9,13 @@ weaning coefficient tau shrinks the switch threshold slack, the clip
 asymmetry and the KL weight together, so the objective falls back to plain
 PPO as training progresses.
 
-The rollout buffer, training loop, loss and result type are PPO's from
-``ppo_core``: ``collect_dual`` adds PPO's columns plus each row's
-``teacher_origin``, clip modulation ``eps_prime`` and ``teacher_probs``
-to the ``RolloutBuffer``, ``s2cd_loss`` supplies ``ppo_loss`` with the
-per-sample clip bounds and the KL weight, and ``train_s2cd`` runs
+The collection step, rollout buffer, training loop, loss and result type
+are PPO's from ``ppo_core``: ``collect_dual`` is a gate on
+``collect_steps``, the one collection step loop. The gate runs the Q-gap
+switch on the sampled action, adds each executed row's ``teacher_origin``,
+clip modulation ``eps_prime`` and ``teacher_probs`` to PPO's columns, and
+returns the teacher's synthetic row. ``s2cd_loss`` supplies ``ppo_loss``
+with the per-sample clip bounds and the KL weight, and ``train_s2cd`` runs
 ``train_phases`` with ``collect_dual`` as the collection and ``s2cd_loss``
 at the phase's tau as the loss.
 """
@@ -28,17 +30,17 @@ import numpy as np
 from .highway_sim import Action, check_number_fields
 from .mdp_interface import HighwayEnv
 
-# compute_gae and adamw_step are not called here, but benchmarks/tracer.py
-# wraps this module's binding of each and cannot install without them. It
-# wraps ppo_core.ppo_loss, not this binding, so its call count stays plain
-# PPO's and s2cd_loss's time covers the loss body.
+# sample_action, compute_gae and adamw_step are not called here (the step
+# loop samples through ppo_core's own name), but benchmarks/tracer.py wraps
+# this module's binding of each and cannot install without them. It wraps
+# ppo_core.ppo_loss, not this binding, so its call count stays plain PPO's
+# and s2cd_loss's time covers the loss body.
 from .ppo_core import (
     CollectorState,
-    EpisodeTracker,
     HyperParams,
     RolloutBuffer,
     TrainResult,
-    annotate_phase,
+    collect_steps,
     compute_gae,
     kl_penalty,
     policy_entropy,
@@ -176,9 +178,6 @@ class TeacherAugmentedEnv:
         raw, reward, events = self.env.step(action)
         return self._augment(raw), reward, events
 
-    def ego_speed(self) -> float:
-        return self.env.ego_speed()
-
 
 @dataclass
 class CollectStats:
@@ -203,59 +202,36 @@ class CollectStats:
 
 def collect_dual(env: TeacherAugmentedEnv, actor: DenseNet, critic: DenseNet,
                  hp: S2cdHyper, switch_cfg: SwitchConfig, rng: np.random.Generator,
-                 n_steps: int, state: CollectorState, buffer: RolloutBuffer,
-                 tracker: EpisodeTracker | None = None) -> CollectStats:
-    """One collection phase. For every step the executed transition is
-    stored once (teacher origin when the switch fired); when dual-source
-    collection is on and the teacher's advice differs from the executed
-    action, its predicted transition is stored as an extra teacher row.
-    ``obs`` is the augmented observation, and a synthetic row's reward is
-    the return net's prediction for the teacher's action. A step runs only
-    what picks its action; the values, old log-probabilities and the KL and
-    entropy sums come from one pass over the phase (``annotate_phase``),
-    the sums accumulated in step order."""
-    stats = CollectStats()
-    logits, teacher_probs = [], []
-    tau_episode = decay_tau(state.episodes, switch_cfg, hp.intervention_decay)
-    for _ in range(n_steps):
-        if state.done:
-            state.obs = env.reset()
-            state.done = False
-            tau_episode = decay_tau(state.episodes, switch_cfg, hp.intervention_decay)
+                 n_steps: int, state: CollectorState, buffer: RolloutBuffer) -> CollectStats:
+    """One collection phase: ``collect_steps`` gated by the Q-gap switch,
+    which executes the teacher's advice (a teacher-origin row) or the
+    student's sample. When dual-source collection is on and the advice
+    differs from the executed action, the advice is stored as an extra
+    teacher row whose reward is the return net's prediction. The switch's
+    tau follows the ended-episode count, so it changes only between
+    episodes. The KL and entropy sums are accumulated in step order."""
+    stats = CollectStats(steps=n_steps)
+    teacher_probs = []
+
+    def gate(probs, a_student):
         advice = env.last_advice
-        obs = state.obs
-
-        probs, (_, step_logits, _, _) = actor.forward(obs)
-        a_student = sample_action(probs, rng)
-        q_teacher = float(advice.q_pred[advice.action])
-        q_student = float(advice.q_pred[a_student])
-        intervened = switch_action(q_teacher, q_student, tau_episode, switch_cfg)
+        tau = decay_tau(state.episodes, switch_cfg, hp.intervention_decay)
+        intervened = switch_action(float(advice.q_pred[advice.action]),
+                                   float(advice.q_pred[a_student]), tau, switch_cfg)
         a_exec = advice.action if intervened else a_student
-
         eps_prime = adaptive_epsilon(float(probs[a_student]),
                                      float(probs[advice.action]), hp.psi)
-        next_obs, reward, events = env.step(Action(a_exec))
-        state.done = events.episode_done
-
-        buffer.add(obs=obs, actions=a_exec, rewards=reward.total, dones=state.done,
-                   executed=True, teacher_origin=intervened, eps_prime=eps_prime,
-                   teacher_probs=advice.probs)
-        if hp.dual_source and advice.action != a_exec:
-            buffer.add(obs=obs, actions=advice.action, rewards=advice.r_pred,
-                       dones=state.done, executed=False, teacher_origin=True,
-                       eps_prime=eps_prime, teacher_probs=advice.probs)
-            stats.synthetic_rows += 1
-        logits.append(step_logits)
         teacher_probs.append(advice.probs)
-
-        stats.steps += 1
         stats.interventions += int(intervened)
-        if tracker is not None:
-            tracker.record(reward, events, env.ego_speed())
-        if state.done:
-            state.episodes += 1
-        state.obs = next_obs
-    probs = annotate_phase(buffer, critic, logits)
+        columns = {"teacher_origin": intervened, "eps_prime": eps_prime,
+                   "teacher_probs": advice.probs}
+        if not hp.dual_source or advice.action == a_exec:
+            return a_exec, columns, None
+        stats.synthetic_rows += 1
+        return a_exec, columns, {**columns, "actions": advice.action,
+                                 "rewards": advice.r_pred, "teacher_origin": True}
+
+    probs = collect_steps(env, actor, critic, rng, state, buffer, n_steps, gate)
     for kl, entropy in zip(kl_penalty(np.array(teacher_probs), probs).tolist(),
                            policy_entropy(probs).tolist()):
         stats.kl_sum += kl
@@ -273,10 +249,10 @@ def train_s2cd(complex_env: HighwayEnv, bundle: TeacherBundle, hp: S2cdHyper,
     env = TeacherAugmentedEnv(complex_env, bundle)
     frozen = bundle.checksum()
 
-    def collect(actor, critic, rng, state, buffer, tracker):
+    def collect(actor, critic, rng, state, buffer):
         tau = decay_tau(state.episodes, switch_cfg, hp.intervention_decay)
         stats = collect_dual(env, actor, critic, hp, switch_cfg, rng, hp.rollout_steps,
-                             state, buffer, tracker)
+                             state, buffer)
         total_rows = stats.steps + stats.synthetic_rows
         teacher_rows = stats.interventions + stats.synthetic_rows
         return partial(s2cd_loss, tau=tau), {

@@ -282,6 +282,27 @@ class TestCollision:
         assert ev.success and ev.episode_done
 
 
+class TestStepEvents:
+    @pytest.mark.parametrize("fidelity", list(Fidelity))
+    def test_ego_speed_after_every_step_through_a_collision(self, fidelity):
+        world = spawn_scenario(make_config(fidelity, Density.HIGH), 5)
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            _, events = step(world, Action(int(rng.integers(0, 3))))
+            assert events.ego_speed == world.ego().speed
+        # a fresh world whose ego drives at 20 m/s onto a stopped car 10 m ahead
+        world = spawn_scenario(make_config(fidelity, Density.HIGH), 5)
+        world.ego().speed = 20.0
+        world.vehicles.append(VehicleState(id=999, longitudinal_pos=15.0,
+                                           lane_index=world.ego().lane_index,
+                                           lateral_offset=0.0, speed=0.0, target_speed=5.0))
+        world.sort_vehicles()
+        while not world.terminal:
+            _, events = step(world, Action.FOLLOW)
+            assert events.ego_speed == world.ego().speed
+        assert events.collision and events.ego_speed > 0.0
+
+
 class TestConfigFloats:
     def test_int_float_fields_give_the_float_world(self):
         worlds = [spawn_scenario(make_config(speed_limit=limit, lane_width=width), 3)

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from s2cd.highway_sim import SimConfig, StepEvents
 from s2cd.mdp_interface import HighwayEnv, RewardBreakdown
 from s2cd.ppo_core import (
+    CollectorState,
     HyperParams,
     RolloutBuffer,
     TrainingAborted,
     annotate_phase,
+    collect_steps,
     compute_gae,
     evaluate_actor,
     normalize_advantages,
@@ -122,11 +124,8 @@ class RandomObsEnv:
         r = self.reward_fn(int(action))
         reward = RewardBreakdown(efficiency=max(r, 0.0), cost=max(-r, 0.0))
         events = StepEvents(collision=False, min_gap_front=50.0, min_gap_rear=50.0,
-                            episode_done=done, success=done)
+                            episode_done=done, success=done, ego_speed=0.0)
         return self.rng.uniform(0, 1, size=self.obs_dim), reward, events
-
-    def ego_speed(self):
-        return 0.0
 
 
 class TestComputeGae:
@@ -308,6 +307,52 @@ class TestAnnotatePhase:
         for columns in ({"values": [1.0]}, {"extra": [1.0, 2.0]}):
             with pytest.raises(ValueError):
                 buffer.add_columns(**columns)
+
+
+def state_fields(state):
+    fields = vars(state).copy()
+    fields["obs"] = fields["obs"].tobytes()
+    return fields
+
+
+class TestCollectSteps:
+    @pytest.mark.parametrize("steps,horizon", [(1, 25), (60, 7), (130, 25)])
+    def test_teacher_free_gate_is_no_gate(self, steps, horizon):
+        runs = []
+        for gate in (None, lambda probs, a: (a, {}, None)):
+            env = RandomObsEnv(seed=4, reward_fn=lambda a: a - 1.0, horizon=horizon)
+            actor = DenseNet.create(NetSpec(4, 3, head=Head.SOFTMAX_POLICY),
+                                    np.random.default_rng(1))
+            actor.params *= 3.0
+            critic = DenseNet.create(NetSpec(4, 1, head=Head.SCALAR_VALUE),
+                                     np.random.default_rng(2))
+            rng = np.random.default_rng(3)
+            state, buffer = CollectorState(obs=env.reset()), RolloutBuffer()
+            probs = collect_steps(env, actor, critic, rng, state, buffer, steps, gate)
+            batch = buffer.finalize(HyperParams(), 0.5)
+            runs.append(([(key, column.tobytes()) for key, column in batch.items()],
+                         probs.tobytes(), state_fields(state), rng.random()))
+        assert runs[0] == runs[1]
+        assert runs[0][2]["episodes"] == steps // horizon
+
+
+class TestCollectorState:
+    def test_end_phase_summarizes_and_clears_the_phase(self):
+        state = CollectorState(obs=np.zeros(2))
+        steps = [(RewardBreakdown(0.5, 0.0), StepEvents(ego_speed=10.0)),
+                 (RewardBreakdown(0.25, 1.0), StepEvents(collision=True, episode_done=True,
+                                                         ego_speed=20.0)),
+                 (RewardBreakdown(1.0, 0.5), StepEvents(ego_speed=12.0))]
+        for reward, events in steps:
+            state.record(reward, events)
+        assert state.end_phase() == (-0.25, 1.0, 14.0, 1)
+        assert (state.completed_returns, state.completed_costs, state.speeds,
+                state.collisions) == ([], [], [], 0)
+        # the running episode carries into the next phase
+        assert (state.done, state.episodes, state.ep_return, state.ep_cost) == (False, 1, 0.5, 0.5)
+        state.record(RewardBreakdown(0.5, 0.0), StepEvents(episode_done=True, ego_speed=4.0))
+        assert state.end_phase() == (1.0, 0.5, 4.0, 0)
+        assert state.end_phase() == (0.0, 0.0, 0.0, 0)
 
 
 class TestPpoLoss:

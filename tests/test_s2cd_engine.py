@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from s2cd.highway_sim import Action, SimConfig, StepEvents
 from s2cd.mdp_interface import HighwayEnv, RewardBreakdown
 from s2cd.ppo_core import (
-    EpisodeTracker,
     HyperParams,
     RolloutBuffer,
     normalize_advantages,
@@ -356,11 +355,8 @@ class FakeTeacherEnv:
         done = self.t >= self.horizon
         reward = RewardBreakdown(efficiency=0.1, cost=0.0)
         events = StepEvents(collision=False, min_gap_front=50.0, min_gap_rear=50.0,
-                            episode_done=done, success=done)
+                            episode_done=done, success=done, ego_speed=20.0)
         return self.rng.uniform(0, 1, size=self.obs_dim), reward, events
-
-    def ego_speed(self):
-        return 20.0
 
 
 def actor_preferring(action, obs_dim=14, seed=0):
